@@ -100,13 +100,16 @@ def load_problem(cfg: ExperimentConfig) -> ProblemInstance:
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -> dict:
     """Plan step sizes, run the chosen solver, write the trace, summarize.
 
-    The summary is JSON-ready and deterministic for a fixed config.
+    ``inst`` is cfg's problem when the caller has loaded it already;
+    otherwise it is loaded here.  The summary is JSON-ready and
+    deterministic for a fixed config.
     """
     cfg.validate()
-    inst = load_problem(cfg)
+    if inst is None:
+        inst = load_problem(cfg)
     params, report = plan_stepsizes(inst, cfg.mode, overrides=cfg.overrides,
                                     exact_limit=cfg.exact_limit, rng_seed=cfg.seed)
     params.max_iters = cfg.max_iters

@@ -50,9 +50,9 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         exact_limit=args.exact_limit,
     )
-    _load_problem_or_exit(args.problem)  # I/O problems exit 3 before any trace output
+    inst = _load_problem_or_exit(args.problem)  # I/O problems exit 3 before any trace output
     try:
-        summary = run_experiment(cfg)
+        summary = run_experiment(cfg, inst)
     except (DivergenceError, ConvergenceError, FloatingPointError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -89,24 +89,30 @@ def cmd_verify_eb(args) -> int:
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED
 
 
-def cmd_verify_hoffman(args) -> int:
-    try:
-        with open(args.system) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load system file {args.system!r}: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _load_system(path):
+    """(C1, b1, C2, b2, theta) of a verify-hoffman system file; theta may be None."""
+    with open(path) as fh:
+        data = json.load(fh)
     n = int(data["n"])
     C1 = np.asarray(data.get("C1", []), dtype=float).reshape(-1, n)
     b1 = np.asarray(data.get("b1", []), dtype=float)
     C2 = np.asarray(data.get("C2", []), dtype=float).reshape(-1, n)
     b2 = np.asarray(data.get("b2", []), dtype=float)
     theta = data.get("theta")
-    if theta is None:
-        M = np.vstack([C2, C1]) if C1.size and C2.size else (C2 if C2.size else C1)
-        theta = hoffman_theta_exact(M)
+    return C1, b1, C2, b2, None if theta is None else float(theta)
+
+
+def cmd_verify_hoffman(args) -> int:
     try:
-        out = verify_hoffman(C1, b1, C2, b2, float(theta), n_points=args.points,
+        C1, b1, C2, b2, theta = _load_system(args.system)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load system file {args.system!r}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        if theta is None:
+            M = np.vstack([C2, C1]) if C1.size and C2.size else (C2 if C2.size else C1)
+            theta = hoffman_theta_exact(M)
+        out = verify_hoffman(C1, b1, C2, b2, theta, n_points=args.points,
                              rng_seed=args.seed)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,8 +154,12 @@ def cmd_trace_segment(args) -> int:
 
 
 def cmd_gen_qp(args) -> int:
-    inst = generate_nonconvex_qp(n=args.n, m=args.m, neg_eigs=args.neg_eigs,
-                                 rng_seed=args.seed, box=(args.box_lo, args.box_hi))
+    try:
+        inst = generate_nonconvex_qp(n=args.n, m=args.m, neg_eigs=args.neg_eigs,
+                                     rng_seed=args.seed, box=(args.box_lo, args.box_hi))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     try:
         save_instance(inst, args.out)
     except OSError as exc:

@@ -200,14 +200,13 @@ def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator,
     return best
 
 
-def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0,
-                     min_samples: int = 10_000) -> tuple[float, bool]:
+def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[float, bool]:
     """Polyhedral error-bound constant theta_bar of the multiplier system.
 
     Builds M = [[A', G'], [0, I]].  When M has at most ``exact_limit``
     rows the exact maximum over full-row-rank submatrices is returned
-    (exact=True); otherwise a randomized lower-bound estimate from at
-    least ``min_samples`` sampled submatrices (exact=False).
+    (exact=True); otherwise a randomized lower-bound estimate from
+    10,000 sampled submatrices (exact=False).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = build_hoffman_matrix(A, G)
@@ -219,7 +218,7 @@ def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0,
             return hoffman_theta_exact_box(A, _rank_tol(M)), True
         return hoffman_theta_exact(M), True
     rng = np.random.default_rng(rng_seed)
-    return hoffman_theta_sampled(M, max(min_samples, 10_000), rng), False
+    return hoffman_theta_sampled(M, 10_000, rng), False
 
 
 # ---------------------------------------------------------------------------

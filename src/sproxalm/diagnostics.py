@@ -20,7 +20,8 @@ from scipy.optimize import nnls
 logger = logging.getLogger(__name__)
 
 from .constants import SolverParams, sigma5_from_theta
-from .exceptions import DegenerateActiveSetError, InfeasibleError, StepMismatchError
+from .exceptions import (ConvergenceError, DegenerateActiveSetError, DivergenceError,
+                         InfeasibleError, StepMismatchError)
 from .oracles import project_polyhedron_exact, solve_qp_active_set
 from .problem import Box, Halfspaces, ProblemInstance, QuadraticObjective
 from .projection import project_affine_halfspaces
@@ -284,8 +285,9 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
 
     y and z are scaled Gaussian draws (z around a feasible anchor); the
     ratio is defined as 0 when the residual is below 1e-12 and the
-    distance below 1e-9 (consistency of the zero-residual case).  More
-    than 10% skipped samples raises ConvergenceError-wrapped failure.
+    distance below 1e-9 (consistency of the zero-residual case).  A
+    sample whose solves hit their iteration cap or diverge is skipped;
+    more than 10% skipped samples raises RuntimeError.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
@@ -306,7 +308,7 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
         try:
             xi = inner_minimize_K(inst, y, z, params, tol=tol)
             prox = solve_constrained_strongly_convex(inst, z, params, tol=tol)
-        except Exception as exc:
+        except (ConvergenceError, DivergenceError) as exc:
             skipped += 1
             logger.warning("error-bound sample skipped: %s", exc)
             continue

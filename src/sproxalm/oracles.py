@@ -9,7 +9,7 @@ oracles for the iterative paths and as the engine of the segment tracer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -122,13 +122,89 @@ def solve_constrained_qp_oracle(inst: ProblemInstance, z, p: float,
     return sol
 
 
+def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singular: bool):
+    """Clipped stationary points of the box faces, in face order.
+
+    A face sets each coordinate free, at lo or at hi (digits 0, 1, 2),
+    and faces are ordered as ``itertools.product((0, 1, 2), repeat=n)``.
+    The faces with free set F share the KKT matrix
+    [[Q_FF, A_F'], [A_F, 0]], so each of the 2^n matrices is solved once
+    for the right-hand sides of all 2^(n-|F|) lo/hi choices of the fixed
+    coordinates.  A singular matrix has its faces solved by ``lstsq``, or
+    skipped when ``skip_singular``.  A face is kept when its KKT residual
+    is within 1e-8 (relative), its free coordinates within ``bound_tol``
+    of the box, and its clipped point satisfies Ax = b to 1e-8
+    (relative); a vertex, when it satisfies Ax = b to ``tol``.  Faces
+    that fix a coordinate at an infinite bound are left out.
+
+    Returns (digits, X, Y): one row per kept face, its digits, its point
+    and its equality multipliers (zero at a vertex).
+    """
+    obj = inst.objective
+    Q, q = obj.Q, obj.q
+    A, b = inst.eq_matrix, inst.eq_rhs
+    n, m = inst.n, inst.m
+    lo, hi = inst.polyhedron.lo, inst.polyhedron.hi
+    b_scale = 1.0 + np.linalg.norm(b)
+    cols = np.arange(n)
+    kept_d, kept_x, kept_y = [np.zeros((0, n), dtype=int)], [np.zeros((0, n))], [np.zeros((0, m))]
+    for mask in range(2 ** n):
+        fixed = (mask >> cols) & 1 == 1
+        F, C = cols[~fixed], cols[fixed]
+        k, r = F.size, C.size
+        at_hi = (np.arange(2 ** r)[:, None] >> np.arange(r)) & 1 == 1
+        XC = np.where(at_hi, hi[C], lo[C])
+        finite = np.isfinite(XC).all(axis=1)
+        at_hi, XC = at_hi[finite], XC[finite]
+        X = np.empty((XC.shape[0], n))
+        X[:, C] = XC
+        if k == 0:
+            if m and skip_singular:  # a vertex's KKT matrix is the m x m zero block
+                continue
+            keep = np.linalg.norm(X @ A.T - b, axis=1) <= tol * b_scale
+            Y = np.zeros((X.shape[0], m))
+        else:
+            QF, AF = Q[F], A[:, F]
+            K = np.zeros((k + m, k + m))
+            K[:k, :k] = QF[:, F]
+            K[:k, k:] = AF.T
+            K[k:, :k] = AF
+            rhs = np.empty((XC.shape[0], k + m))
+            rhs[:, :k] = -(q[F] + XC @ QF[:, C].T)
+            rhs[:, k:] = b - XC @ A[:, C].T
+            try:
+                sol = np.linalg.solve(K, rhs.T).T
+            except np.linalg.LinAlgError:
+                if skip_singular:
+                    continue
+                sol = np.linalg.lstsq(K, rhs.T, rcond=None)[0].T
+            # singular systems can pass np.linalg.solve silently; verify residual
+            resid = np.linalg.norm(sol @ K.T - rhs, axis=1)
+            keep = resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=1))
+            xf, Y = sol[:, :k], sol[:, k:]
+            keep &= ((xf >= lo[F] - bound_tol) & (xf <= hi[F] + bound_tol)).all(axis=1)
+            X[:, F] = np.clip(xf, lo[F], hi[F])
+            keep &= np.linalg.norm(X @ A.T - b, axis=1) <= 1e-8 * b_scale
+        digits = np.zeros((X.shape[0], n), dtype=int)
+        digits[:, C] = 1 + at_hi
+        kept_d.append(digits[keep])
+        kept_x.append(X[keep])
+        kept_y.append(Y[keep])
+    digits = np.concatenate(kept_d)
+    order = np.argsort(digits @ 3 ** cols[::-1])
+    return digits[order], np.concatenate(kept_x)[order], np.concatenate(kept_y)[order]
+
+
 def exact_lower_bound_box_qp(inst: ProblemInstance, tol: float = 1e-9):
     """Exact global minimum of an indefinite quadratic over {x in box : Ax = b}.
 
-    Enumerates all box faces; on each face the stationary points of the
-    restricted problem are solutions of a linear KKT system, and the
-    global minimum over the compact feasible set is attained at one of
-    them.  Returns (value, argmin).
+    The global minimum over the compact feasible set is attained at a
+    stationary point of the problem restricted to some box face, and
+    those are solutions of a linear KKT system.  The 3^n faces are
+    solved with 2^n factorisations, one per free set of k coordinates,
+    each solved for the 2^(n-k) faces of its free set.  Ties go to the
+    first face in ``itertools.product((0, 1, 2), repeat=n)`` order
+    (0 free, 1 at lo, 2 at hi).  Returns (value, argmin).
     """
     obj = inst.objective
     if not isinstance(obj, QuadraticObjective):
@@ -136,125 +212,33 @@ def exact_lower_bound_box_qp(inst: ProblemInstance, tol: float = 1e-9):
     P = inst.polyhedron
     if not isinstance(P, Box) or not P.is_finite():
         raise TypeError("oracle requires a finite box polyhedron")
-    Q, q = obj.Q, obj.q
-    A, b = inst.eq_matrix, inst.eq_rhs
-    n, m = inst.n, inst.m
-    lo, hi = P.lo, P.hi
-    span = 1.0 + float(np.max(hi - lo))
-
-    best_val, best_x = np.inf, None
-    for pattern in product((0, 1, 2), repeat=n):  # 0 free, 1 at lo, 2 at hi
-        free = [i for i in range(n) if pattern[i] == 0]
-        fixed = [i for i in range(n) if pattern[i] != 0]
-        xa = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
-        k = len(free)
-        if k == 0:
-            x = np.zeros(n)
-            x[fixed] = xa
-            if np.linalg.norm(A @ x - b) <= tol * (1.0 + np.linalg.norm(b)):
-                val = obj.value(x)
-                if val < best_val:
-                    best_val, best_x = val, x
-            continue
-        Qff = Q[np.ix_(free, free)]
-        Af = A[:, free]
-        rhs_top = -(q[free] + (Q[np.ix_(free, fixed)] @ xa if fixed else 0.0))
-        rhs_bot = b - (A[:, fixed] @ xa if fixed else 0.0)
-        KKT = np.zeros((k + m, k + m))
-        KKT[:k, :k] = Qff
-        KKT[:k, k:] = Af.T
-        KKT[k:, :k] = Af
-        rhs = np.concatenate([np.atleast_1d(rhs_top), rhs_bot])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        # singular systems can pass np.linalg.solve silently; verify residual
-        if np.linalg.norm(KKT @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            continue  # no stationary point interior to this face
-        xf = sol[:k]
-        if np.any(xf < lo[free] - tol * span) or np.any(xf > hi[free] + tol * span):
-            continue
-        x = np.zeros(n)
-        x[free] = np.clip(xf, lo[free], hi[free])
-        x[fixed] = xa
-        if np.linalg.norm(A @ x - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            continue
-        val = obj.value(x)
-        if val < best_val:
-            best_val, best_x = val, x
-    if best_x is None:
+    span = 1.0 + float(np.max(P.hi - P.lo))
+    _digits, X, _Y = _box_faces(inst, tol, tol * span, skip_singular=False)
+    if not len(X):
         raise InfeasibleError("no feasible face found; feasible set appears empty")
-    return float(best_val), best_x
+    vals = 0.5 * np.einsum("ij,ij->i", X @ obj.Q.T, X) + X @ obj.q
+    x = X[np.argmin(vals)].copy()
+    return obj.value(x), x
 
 
 def enumerate_kkt_points(inst: ProblemInstance, tol: float = 1e-9):
     """All KKT points of a quadratic instance over a box with Ax = b.
 
-    Enumerates box faces; each candidate carries (x, y, mu) with mu the
-    multipliers of the active bound rows (sign-checked).  Used as a
-    stationarity oracle at desk scale.
+    Enumerates box faces in ``itertools.product((0, 1, 2), repeat=n)``
+    order, skipping faces whose KKT system is singular; each candidate
+    carries (x, y, mu) with mu the multipliers of the active bound rows
+    (sign-checked).  Used as a stationarity oracle at desk scale.
     """
     obj = inst.objective
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("oracle requires a quadratic objective")
-    P = inst.polyhedron
-    if not isinstance(P, Box):
+    if not isinstance(inst.polyhedron, Box):
         raise TypeError("oracle requires a box polyhedron")
-    Q, q = obj.Q, obj.q
-    A, b = inst.eq_matrix, inst.eq_rhs
-    n, m = inst.n, inst.m
-    lo, hi = P.lo, P.hi
-    points = []
-    for pattern in product((0, 1, 2), repeat=n):
-        free = [i for i in range(n) if pattern[i] == 0]
-        fixed = [i for i in range(n) if pattern[i] != 0]
-        if any(not np.isfinite(lo[i]) and pattern[i] == 1 for i in range(n)):
-            continue
-        if any(not np.isfinite(hi[i]) and pattern[i] == 2 for i in range(n)):
-            continue
-        xa = np.array([lo[i] if pattern[i] == 1 else hi[i] for i in fixed])
-        k = len(free)
-        KKT = np.zeros((k + m, k + m))
-        KKT[:k, :k] = Q[np.ix_(free, free)]
-        KKT[:k, k:] = A[:, free].T
-        KKT[k:, :k] = A[:, free]
-        rhs = np.concatenate([
-            np.atleast_1d(-(q[free] + (Q[np.ix_(free, fixed)] @ xa if fixed else 0.0))),
-            b - (A[:, fixed] @ xa if fixed else 0.0),
-        ])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.linalg.norm(KKT @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            continue
-        xf, y = sol[:k], sol[k:]
-        if k and (np.any(xf < lo[free] - tol) or np.any(xf > hi[free] + tol)):
-            continue
-        x = np.zeros(n)
-        if k:
-            x[free] = np.clip(xf, lo[free], hi[free])
-        x[fixed] = xa
-        if np.linalg.norm(A @ x - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            continue
-        # bound multipliers from stationarity on the fixed coordinates:
-        # grad f + A'y + mu_hi - mu_lo = 0 componentwise
-        g = Q @ x + q + A.T @ y
-        ok = True
-        mu = np.zeros(n)
-        for idx, i in enumerate(fixed):
-            if pattern[i] == 1:   # at lower bound: -mu_lo component, needs g_i >= 0
-                if g[i] < -tol:
-                    ok = False
-                    break
-                mu[i] = g[i]
-            else:                 # at upper bound: needs g_i <= 0
-                if g[i] > tol:
-                    ok = False
-                    break
-                mu[i] = -g[i]
-        if not ok:
-            continue
-        points.append((x, y, mu))
-    return points
+    digits, X, Y = _box_faces(inst, tol, tol, skip_singular=True)
+    # bound multipliers from stationarity on the fixed coordinates:
+    # grad f + A'y + mu_hi - mu_lo = 0 componentwise
+    g = X @ obj.Q.T + obj.q + Y @ inst.eq_matrix
+    at_lo, at_hi = digits == 1, digits == 2
+    ok = ~np.any((at_lo & (g < -tol)) | (at_hi & (g > tol)), axis=1)
+    mu = np.where(at_lo, g, 0.0) - np.where(at_hi, g, 0.0)
+    return [(X[i], Y[i], mu[i]) for i in np.flatnonzero(ok)]

@@ -144,6 +144,25 @@ def test_cli_verify_hoffman(tmp_path, capsys):
     assert out["pass"] is True
 
 
+@pytest.mark.parametrize("system", [
+    {"C1": [1.0], "b1": [1.0]},                    # no n
+    {"n": 2, "C1": [1.0, 2.0, 3.0], "b1": [1.0]},  # three entries make no rows of two
+])
+def test_cli_verify_hoffman_malformed_system_exits_3(tmp_path, capsys, system):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    assert main(["verify-hoffman", "--system", str(path)]) == 3
+    assert "cannot load system file" in capsys.readouterr().err
+
+
+def test_cli_gen_qp_invalid_sizes_exits_2(tmp_path, capsys):
+    out = tmp_path / "qp.json"
+    rc = main(["gen-qp", "--n", "3", "--m", "5", "--neg-eigs", "1", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_cli_trace_segment(tmp_path, capsys):
     problem = tmp_path / "qp.json"
     main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1",

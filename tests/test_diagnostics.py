@@ -10,7 +10,8 @@ from sproxalm.diagnostics import (MonitorContext, certificate_from_step,
                                   regularized_quadratic_instance,
                                   trace_segment_decomposition,
                                   verify_dual_error_bound, verify_hoffman)
-from sproxalm.exceptions import StepMismatchError
+from sproxalm import diagnostics
+from sproxalm.exceptions import ConvergenceError, StepMismatchError
 from sproxalm.oracles import enumerate_kkt_points
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d)
@@ -198,6 +199,22 @@ def test_error_bound_golden_instance_ratio_one():
     assert out.passed and out.violations == 0
     assert out.max_ratio == pytest.approx(1.0, rel=1e-6)
     assert out.bound == pytest.approx(13 * np.sqrt(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("error, raised", [
+    (TypeError("bug in the inner solve"), TypeError),           # a bug propagates
+    (ConvergenceError("iteration cap"), RuntimeError),          # every sample skipped
+])
+def test_error_bound_skips_only_solver_failures(monkeypatch, error, raised):
+    def failing_inner_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(diagnostics, "inner_minimize_K", failing_inner_solve)
+    inst = fixed_instance_1d()
+    params, rep = plan_stepsizes(inst, "theoretical")
+    with pytest.raises(raised):
+        verify_dual_error_bound(inst, params, n_samples=5, rng_seed=0,
+                                sigma5_bar=rep.sigma5_bar)
 
 
 def test_error_bound_zero_residual_consistency():
