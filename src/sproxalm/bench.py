@@ -8,7 +8,7 @@ import numpy as np
 
 from .constants import plan_stepsizes
 from .problem import ProblemInstance, generate_nonconvex_qp, load_instance
-from .solvers import Trace, alm_run, sprox_alm_run
+from .solvers import MONITOR_COUNTERS, Trace, alm_run, sprox_alm_run
 
 ALGORITHMS = ("alm", "sprox")
 MODES = ("theoretical", "practical")
@@ -132,7 +132,7 @@ def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -
         final_eps = final.eps if final is not None else np.nan
         best_eps = float(np.min(np.maximum(trace.column("eq_res"),
                                            trace.column("cert_norm")))) if len(trace) else np.nan
-        monitors = {"phi_monotone_violations": None, "lemma34_violations": None}
+        monitors = dict.fromkeys(MONITOR_COUNTERS)
         heuristic = out.heuristic
         iters = out.state.t
 
@@ -152,8 +152,5 @@ def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -
         "heuristic": bool(heuristic),
         "constants": report.to_dict(),
         "rate_fit": rate,
-        "monitors": {
-            "phi_monotone_violations": monitors.get("phi_monotone_violations"),
-            "lemma34_violations": monitors.get("lemma34_violations"),
-        },
+        "monitors": {k: monitors[k] for k in MONITOR_COUNTERS},
     }

@@ -20,13 +20,13 @@ from scipy.optimize import nnls
 logger = logging.getLogger(__name__)
 
 from .constants import SolverParams, sigma5_from_theta
-from .exceptions import (ConvergenceError, DegenerateActiveSetError, DivergenceError,
+from .exceptions import (ConvergenceError, DegenerateActiveSetError,
                          InfeasibleError, StepMismatchError)
 from .oracles import project_polyhedron_exact, solve_qp_active_set
 from .problem import Box, Halfspaces, ProblemInstance, QuadraticObjective
-from .projection import project_affine_halfspaces
-from .solvers import (IterateState, K_value, grad_K, inner_minimize_K,
-                      proof_certificate_vector, solve_constrained_strongly_convex)
+from .projection import StronglyConvexQP
+from .solvers import (IterateState, K_value, WarmProjector, grad_K, inner_minimize_K,
+                      proof_certificate_vector, prox_qp, solve_constrained_strongly_convex)
 
 
 @dataclass
@@ -51,9 +51,7 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
     z_prev = np.asarray(z_prev, dtype=float)
     x1, y1 = state_next.x, state_next.y
     g = grad_K(inst, x_prev, z_prev, y1, params)
-    from .solvers import _proj, _proj_tol  # step replay uses the same projection path
-
-    x1_replay = _proj(inst, x_prev - params.c * g, _proj_tol(params.target_eps))
+    x1_replay = WarmProjector(inst, params.target_eps)(x_prev - params.c * g)
     scale = 1.0 + float(np.linalg.norm(x1))
     if float(np.linalg.norm(x1_replay - x1)) > check_tol * scale:
         raise StepMismatchError("state_next is not the projected step from x_prev")
@@ -125,8 +123,10 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
                     tol: float = 1e-10, _warm: dict | None = None):
     """Potential phi = K(x,z;y) - 2 d(y,z) + 2 P(z) with its three parts.
 
-    d(y,z) is evaluated through the inner projected-gradient solve and
-    P(z) through the constrained proximal solve, both to tolerance tol.
+    d(y,z) is evaluated through the inner projected-gradient solve to
+    tolerance tol, warm-started from ``_warm["x_inner"]``; P(z) is the
+    exact constrained proximal solve, reusing the factorisation
+    ``_warm["prox_qp"]`` when the caller supplies one.
     """
     x, y, z = state.x, state.y, state.z
     warm = _warm if _warm is not None else {}
@@ -134,24 +134,24 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
     xi = inner_minimize_K(inst, y, z, params, tol=tol, x0=warm.get("x_inner"))
     warm["x_inner"] = xi
     d = K_value(inst, xi, z, y, params)
-    prox = solve_constrained_strongly_convex(inst, z, params, tol=tol,
-                                             x0=warm.get("x_prox"), y0=warm.get("y_prox"))
-    warm["x_prox"], warm["y_prox"] = prox.x, prox.y
+    prox = solve_constrained_strongly_convex(inst, z, params, tol=tol, qp=warm.get("prox_qp"))
     phi = Kv - 2.0 * d + 2.0 * prox.value
     return phi, (Kv, d, prox.value)
 
 
 class MonitorContext:
-    """Per-run cache for the full monitor: warm starts for the inner and
-    proximal solves plus the constants of the descent inequality."""
+    """Per-run cache for the full monitor: warm starts for the inner
+    solves, the factorisation of the proximal subproblem, and the constants
+    of the descent inequality."""
 
     def __init__(self, inst: ProblemInstance, params: SolverParams,
                  inner_tol: float = 1e-10):
         self.inst = inst
         self.params = params
         self.inner_tol = inner_tol
-        self._warm_t: dict = {}
-        self._warm_t1: dict = {}
+        qp = prox_qp(inst, params.p)
+        self._warm_t: dict = {"prox_qp": qp}
+        self._warm_t1: dict = {"prox_qp": qp}
         assert_lb = inst.lower_bound is not None and inst.lower_bound_kind in (
             "exact", "certified")
         self.lower_bound = inst.lower_bound if assert_lb else None
@@ -285,12 +285,15 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
 
     y and z are scaled Gaussian draws (z around a feasible anchor); the
     ratio is defined as 0 when the residual is below 1e-12 and the
-    distance below 1e-9 (consistency of the zero-residual case).  A
-    sample whose solves hit their iteration cap or diverge is skipped;
-    more than 10% skipped samples raises RuntimeError.
+    distance below 1e-9 (consistency of the zero-residual case).
+    xbar*(z) is solved exactly, with one factorisation for all samples.  A
+    sample whose inner solve hits its iteration cap, or whose xbar*(z)
+    misses Ax = b by more than tol, is skipped; more than 10% skipped
+    samples raises RuntimeError.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
+    qp = prox_qp(inst, params.p)
     rng = np.random.default_rng(rng_seed)
     anchor = inst.meta.get("x_feas")
     anchor = np.zeros(inst.n) if anchor is None else np.asarray(anchor, dtype=float)
@@ -307,8 +310,8 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
         z = anchor + scale_z * rng.standard_normal(inst.n)
         try:
             xi = inner_minimize_K(inst, y, z, params, tol=tol)
-            prox = solve_constrained_strongly_convex(inst, z, params, tol=tol)
-        except (ConvergenceError, DivergenceError) as exc:
+            prox = solve_constrained_strongly_convex(inst, z, params, tol=tol, qp=qp)
+        except ConvergenceError as exc:
             skipped += 1
             logger.warning("error-bound sample skipped: %s", exc)
             continue
@@ -362,10 +365,10 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     """Check dist(x, S)^2 <= theta (||(C1 x - b1)_+||^2 + ||C2 x - b2||^2)
     over random points, with the distance computed exactly.
 
-    S = {C1 x <= b1, C2 x = b2} must be nonempty (verified by a
-    feasibility solve).  Exact distances come from active-set enumeration
-    when C1 has at most ``enum_limit`` rows, else the iterative dual
-    projector.
+    S = {C1 x <= b1, C2 x = b2} must be nonempty (verified by projecting
+    the origin).  Exact distances come from active-set enumeration when C1
+    has at most ``enum_limit`` rows, else from one factorised
+    least-distance solve per point.
     """
     C1 = np.atleast_2d(np.asarray(C1, dtype=float)) if C1 is not None else None
     C2 = np.atleast_2d(np.asarray(C2, dtype=float)) if C2 is not None else None
@@ -375,8 +378,16 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     b1 = np.atleast_1d(np.asarray(b1, dtype=float)) if b1 is not None else np.zeros(0)
     b2 = np.atleast_1d(np.asarray(b2, dtype=float)) if b2 is not None else np.zeros(0)
 
-    # feasibility: the exact projector raises InfeasibleError on empty S
-    project_polyhedron_exact(C1, b1, C2, b2, np.zeros(n))
+    if C1.shape[0] <= enum_limit:
+        def nearest(x):
+            return project_polyhedron_exact(C1, b1, C2, b2, x)[0]
+    else:
+        qp = StronglyConvexQP(np.eye(n), C2, b2, C1, b1)
+
+        def nearest(x):
+            return qp.solve(-x)[0]
+
+    nearest(np.zeros(n))  # feasibility: both ways raise InfeasibleError on empty S
 
     rng = np.random.default_rng(rng_seed)
     max_ratio = 0.0
@@ -385,11 +396,7 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     for _ in range(n_points):
         scale = 10.0 ** rng.uniform(-0.5, 1.0)
         xbar = scale * rng.standard_normal(n)
-        if C1.shape[0] <= enum_limit:
-            _, dist = project_polyhedron_exact(C1, b1, C2, b2, xbar)
-        else:
-            pt, _, _ = project_affine_halfspaces(C1, b1, C2, b2, xbar, tol=1e-12)
-            dist = float(np.linalg.norm(pt - xbar))
+        dist = float(np.linalg.norm(nearest(xbar) - xbar))
         res2 = 0.0
         if C1.shape[0]:
             res2 += float(np.sum(np.maximum(C1 @ xbar - b1, 0.0) ** 2))

@@ -61,7 +61,10 @@ def solve_qp_active_set(H, c, A, b, G, h, tol: float = 1e-9,
             sol = np.linalg.solve(KKT, rhs)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(sol)):
+        # a singular KKT matrix that LU factors through roundoff gives a huge,
+        # inconsistent solution, e.g. for the opposite rows of a box coordinate
+        if not np.all(np.isfinite(sol)) or \
+                np.linalg.norm(KKT @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
             return None
         x = sol[:n]
         y = sol[n:n + m]

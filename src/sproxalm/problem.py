@@ -82,24 +82,12 @@ class Box:
         return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
 
     def as_halfspaces(self):
-        """Finite bounds as rows of (G, h); infinite bounds contribute no row."""
-        n = self.dim
-        rows, rhs = [], []
-        for i in range(n):
-            if np.isfinite(self.hi[i]):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append(e)
-                rhs.append(self.hi[i])
-        for i in range(n):
-            if np.isfinite(self.lo[i]):
-                e = np.zeros(n)
-                e[i] = -1.0
-                rows.append(e)
-                rhs.append(-self.lo[i])
-        if not rows:
-            return np.zeros((0, n)), np.zeros(0)
-        return np.vstack(rows), np.asarray(rhs, dtype=float)
+        """Finite bounds as rows of (G, h): the hi rows, then the lo rows,
+        each in coordinate order; infinite bounds contribute no row."""
+        eye = np.eye(self.dim)
+        up, down = np.isfinite(self.hi), np.isfinite(self.lo)
+        return (np.vstack([eye[up], 0.0 - eye[down]]),
+                np.concatenate([self.hi[up], -self.lo[down]]))
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Euclidean projection onto the polyhedral set P.
+"""Euclidean projection onto the polyhedral set P, and an exact solver
+for strongly convex QPs over {Ax = b, Gx <= h}.
 
 Boxes project by componentwise clamping (exact).  General halfspace
 systems are handled through the concave projection dual
@@ -14,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.optimize import nnls
 
-from .exceptions import ConvergenceError
+from .exceptions import ConvergenceError, InfeasibleError
 from .problem import Box, Polyhedron
 
 
@@ -86,51 +89,62 @@ def project(P: Polyhedron, x: np.ndarray, tol: float = 1e-10,
     )
 
 
-def project_affine_halfspaces(C1, b1, C2, b2, x, tol: float = 1e-10,
-                              max_iters: int = 500_000):
-    """Project x onto {u : C1 u <= b1, C2 u = b2} by dual accelerated ascent.
+class StronglyConvexQP:
+    """Exact solver of  min 0.5 x'Hx + c'x  s.t.  Ax = b, Gx <= h  for one
+    constraint system and many linear terms c; H must be positive
+    definite on the null space of A.
 
-    Returns (point, (mu, y), residual) with mu >= 0 the halfspace
-    multipliers and y the equality multipliers.  Intended for systems too
-    large for exact active-set enumeration.
+    Ax = b is eliminated through the SVD of A: x = x0 + N w, with N an
+    orthonormal basis of null(A).  The reduced Hessian N'HN = LL' is
+    factored once.  With T = L^{-1}N', the substitution u = L'w + T(Hx0 + c)
+    turns each solve into the least-distance problem min ||u|| s.t.
+    E u <= f, E = GT', which is one nonnegative least-squares problem
+    (Lawson & Hanson, Solving Least Squares Problems, ch. 23).
+    Empty feasible sets raise InfeasibleError.
     """
-    C1 = np.atleast_2d(np.asarray(C1, dtype=float))
-    C2 = np.atleast_2d(np.asarray(C2, dtype=float))
-    b1 = np.atleast_1d(np.asarray(b1, dtype=float))
-    b2 = np.atleast_1d(np.asarray(b2, dtype=float))
-    x = np.asarray(x, dtype=float)
-    l1, l2 = C1.shape[0], C2.shape[0]
-    M = np.vstack([C1, C2]) if l1 and l2 else (C1 if l1 else C2)
-    if M.shape[0] == 0:
-        return x.copy(), (np.zeros(0), np.zeros(0)), 0.0
-    rhs = np.concatenate([b1, b2])
-    smax = float(np.linalg.svd(M, compute_uv=False)[0])
-    step = 1.0 / max(smax ** 2, 1e-300)
-    scale = 1.0 + float(np.linalg.norm(rhs))
 
-    lam = np.zeros(M.shape[0])
-    lam_prev = lam.copy()
-    theta_prev = 1.0
-    best_pt, best_res, best_mul = None, np.inf, None
-    for k in range(max_iters):
-        theta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_prev ** 2))
-        w = lam + ((theta_prev - 1.0) / theta) * (lam - lam_prev)
-        w[:l1] = np.maximum(w[:l1], 0.0)
-        grad = M @ (x - M.T @ w) - rhs
-        lam_next = w + step * grad
-        lam_next[:l1] = np.maximum(lam_next[:l1], 0.0)
+    def __init__(self, H, A, b, G, h):
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        n = H.shape[0]
+        A = np.asarray(A, dtype=float).reshape(-1, n)
+        G = np.asarray(G, dtype=float).reshape(-1, n)
+        b = np.asarray(b, dtype=float).reshape(-1)
+        U, s, Vt = np.linalg.svd(A)
+        r = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0])) if s.size else 0
+        self._A_pinv = (Vt[:r].T / s[:r]) @ U[:, :r].T
+        x0 = self._A_pinv @ b
+        if np.linalg.norm(A @ x0 - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
+            raise InfeasibleError("the equality system Ax = b is inconsistent")
+        N = Vt[r:].T
+        self._T = solve_triangular(np.linalg.cholesky(N.T @ H @ N), N.T, lower=True)
+        self._Et = self._T @ G.T   # E'
+        self._M = np.vstack([-self._Et, np.zeros(G.shape[0])])   # last row: -f'/s per solve
+        self._x0, self._t0 = x0, self._T @ (H @ x0)
+        self._f0 = np.asarray(h, dtype=float).reshape(-1) - G @ x0
+        self._H, self._G = H, G
 
-        pt = x - M.T @ lam_next
-        r1 = float(np.max(C1 @ pt - b1, initial=0.0)) if l1 else 0.0
-        r2 = float(np.max(np.abs(C2 @ pt - b2), initial=0.0)) if l2 else 0.0
-        compl = float(np.sum(np.abs(lam_next[:l1] * (C1 @ pt - b1)))) if l1 else 0.0
-        res = max(r1 / scale, r2 / scale, compl)
-        if res < best_res:
-            best_pt, best_res, best_mul = pt, res, lam_next
-        if res <= tol:
-            return pt, (lam_next[:l1], lam_next[l1:]), res
-        lam_prev, lam, theta_prev = lam, lam_next, theta
-    raise ConvergenceError(
-        f"affine/halfspace projection stalled above tol={tol}",
-        best=(best_pt, best_mul), residual=best_res,
-    )
+    def solve(self, c):
+        """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0."""
+        c = np.asarray(c, dtype=float)
+        t = self._t0 + self._T @ c
+        f = self._f0 + self._Et.T @ t
+        mu = np.zeros(f.shape[0])
+        u = np.zeros(t.shape[0])
+        if f.size and f.min() < 0.0:   # else u = 0 is feasible and optimal
+            # v >= 0 minimising ||[E'; f'/s] v + e_last|| gives the multipliers
+            # mu = s v / (1 + f'v/s) and u = -E'mu; 1 + f'v/s = 0 means no feasible u.
+            # s = ||f|| keeps ||u|| near 1, so that denominator stays clear of roundoff.
+            scale = float(np.linalg.norm(f))
+            M = self._M.copy()
+            M[-1] = -f / scale
+            e = np.zeros(M.shape[0])
+            e[-1] = 1.0
+            v, _ = nnls(M, e)
+            denom = 1.0 + float(f @ v) / scale
+            if denom <= 1e-10:
+                raise InfeasibleError("the inequality system Gx <= h misses the affine set Ax = b")
+            mu = (scale / denom) * v
+            u = -self._Et @ mu
+        x = self._x0 + self._T.T @ (u - t)
+        y = -self._A_pinv.T @ (self._H @ x + c + self._G.T @ mu)
+        return x, y, mu

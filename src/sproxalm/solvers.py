@@ -1,6 +1,6 @@
 """Iterative methods: the smoothed proximal augmented Lagrangian loop,
-the classical augmented Lagrangian baseline, and the inner strongly
-convex solves both of them rely on.
+the classical augmented Lagrangian baseline, the projected-gradient loop
+of their inner solves, and the exact constrained proximal solve.
 
 Notation used throughout: the augmented Lagrangian is
 
@@ -25,10 +25,13 @@ import numpy as np
 
 from .constants import SolverParams
 from .exceptions import ConvergenceError, DivergenceError
-from .problem import Box, ProblemInstance, QuadraticObjective
-from .projection import project
+from .problem import Box, ProblemInstance
+from .projection import StronglyConvexQP, project
 
 _GUARD = 1e12
+# the counters of the full monitor, in SproxResult.monitor and run summaries
+MONITOR_COUNTERS = ("phi_monotone_violations", "lemma34_violations",
+                    "step_error_bound_violations", "checks")
 
 
 @dataclass
@@ -136,22 +139,16 @@ def _proj_tol(outer_tol: float) -> float:
     return max(min(1e-10, outer_tol * 1e-3), 1e-14)
 
 
-def _proj(inst: ProblemInstance, x, tol):
-    P = inst.polyhedron
-    if isinstance(P, Box):
-        return np.clip(x, P.lo, P.hi)
-    return project(P, x, tol=tol).point
-
-
-class _WarmProjector:
+class WarmProjector:
     """Projection onto the instance's polyhedron that carries its dual
     multipliers between calls; consecutive solver iterates are close, so
     warm duals cut the iterative projection cost by an order of magnitude.
-    Results are identical to cold projections within the tolerance."""
+    Projections run to ``_proj_tol(outer_tol)``; a fresh projector's first
+    call is a cold projection."""
 
-    def __init__(self, inst: ProblemInstance, tol: float):
+    def __init__(self, inst: ProblemInstance, outer_tol: float):
         self.P = inst.polyhedron
-        self.tol = tol
+        self.tol = _proj_tol(outer_tol)
         self._mu = None
         self._is_box = isinstance(self.P, Box)
 
@@ -161,6 +158,31 @@ class _WarmProjector:
         res = project(self.P, x, tol=self.tol, mu0=self._mu)
         self._mu = res.dual_multipliers
         return res.point
+
+
+def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: float,
+                        proj: WarmProjector, tol: float, max_iters: int):
+    """Projected gradient with step 1/L on
+
+        f(x) + lin'x + (rho/2)||Ax - b||^2 + (p/2)||x||^2   over P,
+
+    from x in P.  Returns (x, residual, converged): on convergence x is the
+    point at which the scaled fixed-point residual L ||x - proj(x - grad/L)||
+    fell to tol, otherwise the last iterate after max_iters steps.
+    """
+    A, b = inst.eq_matrix, inst.eq_rhs
+    step = 1.0 / max(L, 1e-12)
+    res = np.inf
+    for _ in range(max_iters):
+        g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b))
+        if p:
+            g += p * x
+        x_new = proj(x - step * g)
+        res = L * float(np.linalg.norm(x - x_new))
+        if res <= tol:
+            return x, res, True
+        x = x_new
+    return x, res, False
 
 
 def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
@@ -175,24 +197,15 @@ def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
         raise ValueError("inner solve requires p > L_f (strong convexity)")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    A, b = inst.eq_matrix, inst.eq_rhs
-    rho, p = params.rho, params.p
-    L = _lipschitz_K(inst, params)
-    step = 1.0 / L
-    proj_tol = _proj_tol(tol)
-
-    lin = A.T @ y - p * z  # constant part of grad K besides grad f and the A'(Ax-b) term
-    proj = _WarmProjector(inst, proj_tol)
+    lin = inst.eq_matrix.T @ y - params.p * z  # the part of grad K linear in y and z
+    proj = WarmProjector(inst, tol)
     x = proj(z.copy() if x0 is None else np.asarray(x0, dtype=float))
-    for _ in range(max_iters):
-        g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b)) + p * x
-        x_new = proj(x - step * g)
-        res = L * float(np.linalg.norm(x - x_new))
-        if res <= tol:
-            return x
-        x = x_new
-    raise ConvergenceError("inner projected gradient hit the iteration cap", best=x,
-                           residual=res)
+    x, res, converged = _projected_gradient(inst, x, lin, params.rho, params.p,
+                                            _lipschitz_K(inst, params), proj, tol, max_iters)
+    if not converged:
+        raise ConvergenceError("inner projected gradient hit the iteration cap", best=x,
+                               residual=res)
+    return x
 
 
 @dataclass
@@ -203,70 +216,45 @@ class ProxSolution:
     value: float
     y: np.ndarray
     eq_residual: float
-    outer_iters: int
+    outer_iters: int   # always 1: one exact solve
 
     def __iter__(self):  # supports `x, value = solve_constrained_strongly_convex(...)`
         return iter((self.x, self.value))
 
 
-def solve_constrained_strongly_convex(inst: ProblemInstance, z, params: SolverParams,
-                                      tol: float = 1e-10, x0=None, y0=None,
-                                      max_outer: int = 2000) -> ProxSolution:
-    """Equality-constrained proximal subproblem solved by the classical
-    augmented Lagrangian loop with strongly convex inner solves.
+def prox_qp(inst: ProblemInstance, p: float) -> StronglyConvexQP:
+    """The factorised QP of the constrained proximal subproblem with weight
+    p, shared by the solves for every anchor z."""
+    G, h = inst.polyhedron.as_halfspaces()
+    return StronglyConvexQP(inst.objective.Q + p * np.eye(inst.n), inst.eq_matrix,
+                            inst.eq_rhs, G, h)
 
-    The inner objective g(x) + y'(Ax-b) + (rho_in/2)||Ax-b||^2 with
-    g = f + (p/2)||.-z||^2 keeps modulus p - L_f for any penalty, so each
-    inner solve is a plain projected-gradient run; the penalty is doubled
-    when feasibility stalls.
+
+def solve_constrained_strongly_convex(inst: ProblemInstance, z, params: SolverParams,
+                                      tol: float = 1e-10,
+                                      qp: StronglyConvexQP | None = None) -> ProxSolution:
+    """Exact solution of the proximal subproblem min f(x) + (p/2)||x-z||^2
+    over {Ax = b, x in P}.
+
+    f is quadratic, so this is one solve of ``qp``, the factorisation
+    ``prox_qp(inst, params.p)``, which is built here when omitted.  A
+    solution with ||Ax - b|| > tol (1 + ||b||) raises ConvergenceError
+    carrying it as ``best``.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
     z = np.asarray(z, dtype=float)
-    A, b = inst.eq_matrix, inst.eq_rhs
     p = params.p
-    gamma = p - inst.lipschitz_grad
-    rho_in = max(params.rho, gamma)
-    proj_tol = _proj_tol(tol)
-    smaxA2 = inst.sigma_max_A ** 2
-
-    y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    proj = _WarmProjector(inst, proj_tol)
-    x = proj(z.copy() if x0 is None else np.asarray(x0, dtype=float))
-    prev_feas = np.inf
-    b_scale = 1.0 + float(np.linalg.norm(b))
-    for outer in range(max_outer):
-        L_in = inst.lipschitz_grad + p + rho_in * smaxA2
-        step = 1.0 / L_in
-        lin = A.T @ y - p * z
-        inner_res = np.inf
-        for _ in range(200_000):
-            g = inst.grad_f(x) + lin + rho_in * (A.T @ (A @ x - b)) + p * x
-            x_new = proj(x - step * g)
-            inner_res = L_in * float(np.linalg.norm(x - x_new))
-            if inner_res <= tol:
-                break
-            x = x_new
-        r = A @ x - b
-        feas = float(np.linalg.norm(r))
-        if feas <= tol * b_scale and inner_res <= tol:
-            # augmented dual value: second-order accurate in the residual,
-            # a plain g(x) evaluation would carry first-order error
-            value = (inst.f(x) + 0.5 * p * float(np.dot(x - z, x - z))
-                     + float(y @ r) + 0.5 * rho_in * float(r @ r))
-            return ProxSolution(x=x, value=value, y=y, eq_residual=feas,
-                                outer_iters=outer + 1)
-        y = y + rho_in * r
-        if float(np.linalg.norm(y)) > _GUARD:
-            raise DivergenceError("multiplier divergence in the proximal subproblem",
-                                  state=IterateState(x, y, z, outer))
-        if feas > 0.5 * prev_feas:
-            rho_in = min(rho_in * 2.0, 1e10)
-        prev_feas = feas
-    raise ConvergenceError("proximal subproblem ALM hit the outer iteration cap",
-                           best=ProxSolution(x, inst.f(x) + 0.5 * p * float(np.dot(x - z, x - z)),
-                                             y, feas, max_outer),
-                           residual=feas)
+    if qp is None:
+        qp = prox_qp(inst, p)
+    x, y, _mu = qp.solve(inst.objective.q - p * z)
+    feas = float(np.linalg.norm(inst.eq_matrix @ x - inst.eq_rhs))
+    sol = ProxSolution(x=x, value=inst.f(x) + 0.5 * p * float(np.dot(x - z, x - z)),
+                       y=y, eq_residual=feas, outer_iters=1)
+    if feas > tol * (1.0 + float(np.linalg.norm(inst.eq_rhs))):
+        raise ConvergenceError("proximal solution misses Ax = b by more than tol",
+                               best=sol, residual=feas)
+    return sol
 
 
 @dataclass
@@ -275,13 +263,6 @@ class AlmResult:
     trace: Trace
     heuristic: bool
     converged: bool
-
-
-def _is_inner_strongly_convex(inst: ProblemInstance, rho: float) -> bool:
-    if not isinstance(inst.objective, QuadraticObjective):
-        return False
-    H = inst.objective.Q + rho * (inst.eq_matrix.T @ inst.eq_matrix)
-    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[0]) > 1e-12
 
 
 def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
@@ -302,34 +283,22 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
     max_outer = params.max_iters if max_outer is None else max_outer
     A, b = inst.eq_matrix, inst.eq_rhs
     rho = params.rho
-    heuristic = not _is_inner_strongly_convex(inst, rho)
-    proj_tol = _proj_tol(tol)
-
-    # crude step bound for the inner loop; for quadratics the exact curvature
-    if isinstance(inst.objective, QuadraticObjective):
-        H = inst.objective.Q + rho * (A.T @ A)
-        L_in = float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
-    else:
-        L_in = inst.lipschitz_grad + rho * inst.sigma_max_A ** 2
-    step = 1.0 / max(L_in, 1e-12)
+    # the inner curvature: strong convexity and the step of the inner loop
+    H = inst.objective.Q + rho * (A.T @ A)
+    eig = np.linalg.eigvalsh(0.5 * (H + H.T))
+    heuristic = not eig[0] > 1e-12
+    L_in = float(eig[-1])
 
     y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    proj = _WarmProjector(inst, proj_tol)
+    proj = WarmProjector(inst, tol)
     x = proj(np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
     trace = Trace(capacity=max_outer + 1)
     b_scale = 1.0 + float(np.linalg.norm(b))
     converged = False
     for t in range(max_outer):
-        x_prev = x.copy()
-        lin = A.T @ y
-        inner_res = np.inf
-        for _ in range(200_000):
-            g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b))
-            x_new = proj(x - step * g)
-            inner_res = L_in * float(np.linalg.norm(x - x_new))
-            if inner_res <= tol:
-                break
-            x = x_new
+        x_prev = x
+        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, 0.0, L_in, proj, tol,
+                                              200_000)
         r = A @ x - b
         feas = float(np.linalg.norm(r))
         y = y + rho * r
@@ -370,7 +339,7 @@ def sprox_alm_step(inst: ProblemInstance, state: IterateState,
     g = grad_K(inst, x, z, y1, params)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient in the primal step")
-    x1 = _proj(inst, x - params.c * g, _proj_tol(params.target_eps))
+    x1 = WarmProjector(inst, params.target_eps)(x - params.c * g)
     z1 = z + params.beta * (x1 - z)
     return IterateState(x=x1, y=y1, z=z1, t=state.t + 1)
 
@@ -426,18 +395,12 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
     the monitor dict.
     """
     A, b = inst.eq_matrix, inst.eq_rhs
-    proj_tol = _proj_tol(params.target_eps)
-    proj = _WarmProjector(inst, proj_tol)
+    proj = WarmProjector(inst, params.target_eps)
     x = proj(np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
     z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
     y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
 
-    monitor = {
-        "phi_monotone_violations": 0,
-        "lemma34_violations": 0,
-        "step_error_bound_violations": 0,
-        "checks": 0,
-    }
+    monitor = dict.fromkeys(MONITOR_COUNTERS, 0)
     mon_ctx = None
     if params.monitor_level == "full":
         from .diagnostics import MonitorContext

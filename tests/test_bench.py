@@ -113,6 +113,25 @@ def test_cli_gen_constants_solve_roundtrip(tmp_path, capsys):
     assert trace.exists()
 
 
+def test_cli_solve_reports_every_monitor_counter(tmp_path, capsys):
+    problem = tmp_path / "qp.json"
+    assert main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1",
+                 "--seed", "2", "--out", str(problem)]) == 0
+    capsys.readouterr()
+    solve = ["solve", "--problem", str(problem), "--mode", "theoretical", "--max-iters", "40",
+             "--monitor", "full"]
+
+    assert main(solve + ["--algo", "sprox"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["monitors"] == {"phi_monotone_violations": 0, "lemma34_violations": 0,
+                                   "step_error_bound_violations": 0,
+                                   "checks": summary["iters"]}
+    assert summary["iters"] > 0
+
+    assert main(solve + ["--algo", "alm"]) == 0
+    assert json.loads(capsys.readouterr().out)["monitors"] == dict.fromkeys(summary["monitors"])
+
+
 def test_cli_invalid_problem_exits_3_without_trace(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

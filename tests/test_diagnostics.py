@@ -274,6 +274,26 @@ def test_hoffman_check_infeasible_system_raises():
         verify_hoffman(C1, b1, None, None, theta=1.0, n_points=5, rng_seed=0)
 
 
+def test_hoffman_large_system_branch_matches_enumeration():
+    # enum_limit=0 sends every system with inequality rows to the factorised solve
+    from sproxalm.constants import hoffman_theta_exact
+    from sproxalm.exceptions import InfeasibleError
+    from tests.test_acceptance import _random_system
+
+    for i in range(50):
+        C1, b1, C2, b2 = _random_system(i)
+        theta = hoffman_theta_exact(np.vstack([C2, C1]))
+        exact = verify_hoffman(C1, b1, C2, b2, theta, n_points=40, rng_seed=400 + i)
+        qp = verify_hoffman(C1, b1, C2, b2, theta, n_points=40, rng_seed=400 + i,
+                            enum_limit=0)
+        assert qp.passed == exact.passed
+        assert qp.max_ratio == pytest.approx(exact.max_ratio, rel=1e-9, abs=1e-12)
+        assert qp.near_tightness == pytest.approx(exact.near_tightness, rel=1e-9, abs=1e-12)
+    with pytest.raises(InfeasibleError):
+        verify_hoffman(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]), None, None,
+                       theta=1.0, n_points=5, rng_seed=0, enum_limit=0)
+
+
 # ----------------------------------------------------- segment decomposition
 
 def test_segment_zero_residual_single_segment():

@@ -27,6 +27,23 @@ def test_active_set_solver_matches_halfspace_formula():
     assert np.all(sol.mu >= 0)
 
 
+def test_active_set_solver_rejects_singular_kkt_solutions():
+    # Both bounds of one box coordinate make a singular KKT matrix that LU can
+    # factor through roundoff; the huge multipliers it returns pass the sign and
+    # bound checks while x misses Ax = b.  The true solution is the one kept.
+    from sproxalm.solvers import prox_qp
+
+    inst = make_box_instance(3, 1, 1, 1464)
+    p = 3.0 * inst.lipschitz_grad
+    z = np.array([0.14767840489927472, -0.07747568608098067, -1.0690917826803432])
+    G, h = inst.polyhedron.as_halfspaces()
+    c = inst.objective.q - p * z
+    sol = solve_qp_active_set(inst.objective.Q + p * np.eye(3), c, inst.eq_matrix,
+                              inst.eq_rhs, G, h)
+    assert np.linalg.norm(inst.eq_matrix @ sol.x - inst.eq_rhs) < 1e-12
+    assert np.linalg.norm(sol.x - prox_qp(inst, p).solve(c)[0]) < 1e-12
+
+
 def test_active_set_solver_equality_plus_box_rows():
     # min 0.5||x||^2 s.t. x1 + x2 = 1, x <= 0.25 componentwise: pins both at 0.25? no:
     # equality forces sum 1 while each <= 0.25 makes it infeasible; use bound 0.75

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sproxalm.constants import SolverParams, plan_stepsizes
-from sproxalm.exceptions import DivergenceError
+from sproxalm.exceptions import ConvergenceError, DivergenceError
 from sproxalm.oracles import solve_constrained_qp_oracle
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d, generate_nonconvex_qp)
-from sproxalm.solvers import (IterateState, Trace, alm_run, inner_minimize_K,
+from sproxalm.projection import StronglyConvexQP
+from sproxalm.solvers import (IterateState, ProxSolution, Trace, alm_run, inner_minimize_K,
                               solve_constrained_strongly_convex, sprox_alm_run,
                               sprox_alm_step)
 from tests.conftest import make_box_instance, make_general_instance
@@ -58,16 +59,41 @@ def test_prox_solve_golden_1d():
     assert abs(x[0]) < 1e-12 and abs(val) < 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_prox_solve_matches_enumeration_oracle(seed):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), box=st.booleans())
+def test_prox_solve_matches_enumeration_oracle(seed, box):
+    # general polyhedra with n <= 8 and l <= 5 rows, unit boxes with n <= 6
     rng = np.random.default_rng(seed)
-    inst = make_general_instance(2, 1, int(rng.integers(1, 4)), neg_eigs=1, seed=seed)
-    params, _ = plan_stepsizes(inst, "practical")
-    z = rng.standard_normal(2)
-    x, _val = solve_constrained_strongly_convex(inst, z, params, tol=1e-11)
+    n = int(rng.integers(2, 7 if box else 9))
+    m = int(rng.integers(1, n))
+    neg_eigs = int(rng.integers(0, min(3, n)))
+    if box:
+        inst = make_box_instance(n, m, neg_eigs, seed)
+    else:
+        inst = make_general_instance(n, m, int(rng.integers(1, 6)), neg_eigs, seed)
+    L_f = inst.lipschitz_grad
+    params = SolverParams(rho=L_f, p=3.0 * L_f, c=0.1, alpha=0.1, beta=0.1)
+    z = rng.standard_normal(n)
+    x, val = solve_constrained_strongly_convex(inst, z, params, tol=1e-11)
     oracle = solve_constrained_qp_oracle(inst, z, params.p)
-    assert np.linalg.norm(x - oracle.x) < 1e-6
+    assert np.linalg.norm(x - oracle.x) <= 1e-9
+    oracle_val = inst.f(oracle.x) + 0.5 * params.p * float(np.sum((oracle.x - z) ** 2))
+    assert val == pytest.approx(oracle_val, rel=1e-9, abs=1e-9)
+
+
+def test_prox_solve_infeasible_solution_raises_with_best(monkeypatch):
+    # a solution missing Ax = b by more than tol (1 + ||b||) is reported, not returned
+    def off_by_half(self, c):
+        return np.array([0.5]), np.zeros(1), np.zeros(0)
+
+    monkeypatch.setattr(StronglyConvexQP, "solve", off_by_half)
+    with pytest.raises(ConvergenceError) as err:
+        solve_constrained_strongly_convex(fixed_instance_1d(), np.array([1.0]), PARAMS_1D,
+                                          tol=1e-10)
+    best = err.value.best
+    assert isinstance(best, ProxSolution)
+    assert best.x[0] == 0.5 and best.eq_residual == 0.5 and err.value.residual == 0.5
+    assert best.value == pytest.approx(0.125 + 1.5 * 0.25)   # f(x) + (p/2)(x - z)^2
 
 
 # ------------------------------------------------------------ ALM baseline
