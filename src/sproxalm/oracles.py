@@ -133,12 +133,13 @@ def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singula
     The faces with free set F share the KKT matrix
     [[Q_FF, A_F'], [A_F, 0]], so each of the 2^n matrices is solved once
     for the right-hand sides of all 2^(n-|F|) lo/hi choices of the fixed
-    coordinates.  A singular matrix has its faces solved by ``lstsq``, or
-    skipped when ``skip_singular``.  A face is kept when its KKT residual
-    is within 1e-8 (relative), its free coordinates within ``bound_tol``
-    of the box, and its clipped point satisfies Ax = b to 1e-8
-    (relative); a vertex, when it satisfies Ax = b to ``tol``.  Faces
-    that fix a coordinate at an infinite bound are left out.
+    coordinates.  A singular matrix (numerical rank below its order) has
+    its faces solved by ``lstsq``, or skipped when ``skip_singular``.  A
+    face is kept when its KKT residual is within 1e-8 (relative), its
+    free coordinates within ``bound_tol`` of the box, and its clipped
+    point satisfies Ax = b to 1e-8 (relative); a vertex, when it
+    satisfies Ax = b to ``tol``.  Faces that fix a coordinate at an
+    infinite bound are left out.
 
     Returns (digits, X, Y): one row per kept face, its digits, its point
     and its equality multipliers (zero at a vertex).
@@ -175,13 +176,18 @@ def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singula
             rhs = np.empty((XC.shape[0], k + m))
             rhs[:, :k] = -(q[F] + XC @ QF[:, C].T)
             rhs[:, k:] = b - XC @ A[:, C].T
-            try:
+            # LU can factor a rank-deficient K (every K with k < m) through
+            # roundoff into points that miss Ax = b by ~1e-12 and shift the
+            # value by as much, so singularity is decided by rank, not by
+            # an exact zero pivot.  K is symmetric: its |eigenvalues| are
+            # its singular values, cut as in np.linalg.matrix_rank.
+            sv = np.abs(np.linalg.eigvalsh(K))
+            if sv.min() > sv.max() * (k + m) * np.finfo(float).eps:
                 sol = np.linalg.solve(K, rhs.T).T
-            except np.linalg.LinAlgError:
-                if skip_singular:
-                    continue
+            elif skip_singular:
+                continue
+            else:
                 sol = np.linalg.lstsq(K, rhs.T, rcond=None)[0].T
-            # singular systems can pass np.linalg.solve silently; verify residual
             resid = np.linalg.norm(sol @ K.T - rhs, axis=1)
             keep = resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=1))
             xf, Y = sol[:, :k], sol[:, k:]

@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sproxalm.exceptions import InfeasibleError
@@ -177,9 +177,9 @@ def reference_lower_bound(inst, tol=1e-9):
         KKT[:k, k:] = Af.T
         KKT[k:, :k] = Af
         rhs = np.concatenate([np.atleast_1d(rhs_top), rhs_bot])
-        try:
+        if np.linalg.matrix_rank(KKT, hermitian=True) == k + m:
             sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
+        else:
             sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
         if np.linalg.norm(KKT @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
             continue
@@ -223,10 +223,9 @@ def reference_kkt_points(inst, tol=1e-9):
             np.atleast_1d(-(q[free] + (Q[np.ix_(free, fixed)] @ xa if fixed else 0.0))),
             b - (A[:, fixed] @ xa if fixed else 0.0),
         ])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
+        if np.linalg.matrix_rank(KKT, hermitian=True) < k + m:
             continue
+        sol = np.linalg.solve(KKT, rhs)
         if np.linalg.norm(KKT @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
             continue
         xf, y = sol[:k], sol[k:]
@@ -281,6 +280,9 @@ def face_instance(n, seed, pin, tie):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 10_000), pin=st.booleans(), tie=st.booleans())
+# n = 5 > m + 1 with coordinate 0 pinned: the free sets of three make a
+# rank-deficient KKT matrix that LU factors through roundoff
+@example(n=5, seed=552, pin=True, tie=True)
 def test_face_enumerator_matches_per_face_reference(n, seed, pin, tie):
     inst = face_instance(n, seed, pin, tie)
     val, x = exact_lower_bound_box_qp(inst)
