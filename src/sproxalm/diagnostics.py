@@ -361,14 +361,13 @@ class HoffmanCheckReport:
 
 
 def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
-                   rng_seed: int, enum_limit: int = 12) -> HoffmanCheckReport:
+                   rng_seed: int) -> HoffmanCheckReport:
     """Check dist(x, S)^2 <= theta (||(C1 x - b1)_+||^2 + ||C2 x - b2||^2)
     over random points, with the distance computed exactly.
 
     S = {C1 x <= b1, C2 x = b2} must be nonempty (verified by projecting
-    the origin).  Exact distances come from active-set enumeration when C1
-    has at most ``enum_limit`` rows, else from one factorised
-    least-distance solve per point.
+    the origin).  Each nearest point is one least-distance solve of a
+    single factorisation of the system.
     """
     C1 = np.atleast_2d(np.asarray(C1, dtype=float)) if C1 is not None else None
     C2 = np.atleast_2d(np.asarray(C2, dtype=float)) if C2 is not None else None
@@ -378,16 +377,8 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     b1 = np.atleast_1d(np.asarray(b1, dtype=float)) if b1 is not None else np.zeros(0)
     b2 = np.atleast_1d(np.asarray(b2, dtype=float)) if b2 is not None else np.zeros(0)
 
-    if C1.shape[0] <= enum_limit:
-        def nearest(x):
-            return project_polyhedron_exact(C1, b1, C2, b2, x)[0]
-    else:
-        qp = StronglyConvexQP(np.eye(n), C2, b2, C1, b1)
-
-        def nearest(x):
-            return qp.solve(-x)[0]
-
-    nearest(np.zeros(n))  # feasibility: both ways raise InfeasibleError on empty S
+    qp = StronglyConvexQP(np.eye(n), C2, b2, C1, b1)   # nearest point to x: solve(-x)
+    qp.solve(np.zeros(n))  # feasibility: raises InfeasibleError on empty S
 
     rng = np.random.default_rng(rng_seed)
     max_ratio = 0.0
@@ -396,7 +387,7 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     for _ in range(n_points):
         scale = 10.0 ** rng.uniform(-0.5, 1.0)
         xbar = scale * rng.standard_normal(n)
-        dist = float(np.linalg.norm(nearest(xbar) - xbar))
+        dist = float(np.linalg.norm(qp.solve(-xbar)[0] - xbar))
         res2 = 0.0
         if C1.shape[0]:
             res2 += float(np.sum(np.maximum(C1 @ xbar - b1, 0.0) ** 2))

@@ -12,7 +12,7 @@ from sproxalm.diagnostics import (MonitorContext, certificate_from_step,
                                   verify_dual_error_bound, verify_hoffman)
 from sproxalm import diagnostics
 from sproxalm.exceptions import ConvergenceError, StepMismatchError
-from sproxalm.oracles import enumerate_kkt_points
+from sproxalm.oracles import enumerate_kkt_points, project_polyhedron_exact
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d)
 from sproxalm.solvers import IterateState, sprox_alm_step
@@ -274,24 +274,28 @@ def test_hoffman_check_infeasible_system_raises():
         verify_hoffman(C1, b1, None, None, theta=1.0, n_points=5, rng_seed=0)
 
 
-def test_hoffman_large_system_branch_matches_enumeration():
-    # enum_limit=0 sends every system with inequality rows to the factorised solve
+def test_hoffman_check_matches_enumeration_reference():
+    # criterion 4's systems, every distance recomputed by active-set
+    # enumeration at the same sampled points
     from sproxalm.constants import hoffman_theta_exact
-    from sproxalm.exceptions import InfeasibleError
     from tests.test_acceptance import _random_system
 
     for i in range(50):
         C1, b1, C2, b2 = _random_system(i)
         theta = hoffman_theta_exact(np.vstack([C2, C1]))
-        exact = verify_hoffman(C1, b1, C2, b2, theta, n_points=40, rng_seed=400 + i)
-        qp = verify_hoffman(C1, b1, C2, b2, theta, n_points=40, rng_seed=400 + i,
-                            enum_limit=0)
-        assert qp.passed == exact.passed
-        assert qp.max_ratio == pytest.approx(exact.max_ratio, rel=1e-9, abs=1e-12)
-        assert qp.near_tightness == pytest.approx(exact.near_tightness, rel=1e-9, abs=1e-12)
-    with pytest.raises(InfeasibleError):
-        verify_hoffman(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]), None, None,
-                       theta=1.0, n_points=5, rng_seed=0, enum_limit=0)
+        out = verify_hoffman(C1, b1, C2, b2, theta, n_points=40, rng_seed=400 + i)
+        rng = np.random.default_rng(400 + i)
+        ratios = [0.0]
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-0.5, 1.0)
+            xbar = scale * rng.standard_normal(C1.shape[1])
+            dist = project_polyhedron_exact(C1, b1, C2, b2, xbar)[1]
+            res2 = np.sum(np.maximum(C1 @ xbar - b1, 0.0) ** 2) + np.sum((C2 @ xbar - b2) ** 2)
+            if res2 > 1e-300:
+                ratios.append(dist ** 2 / res2)
+        assert out.max_ratio == pytest.approx(max(ratios), rel=1e-9, abs=1e-12)
+        assert out.near_tightness == pytest.approx(max(ratios) / theta, rel=1e-9, abs=1e-12)
+        assert out.passed
 
 
 # ----------------------------------------------------- segment decomposition

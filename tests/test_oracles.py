@@ -304,6 +304,17 @@ def test_face_enumerator_matches_per_face_reference(n, seed, pin, tie):
             assert np.allclose(mu, ref_mu, rtol=0.0, atol=1e-9)
 
 
+def test_lower_bound_with_rank_deficient_faces_is_exact():
+    # The hypothesis example above, checked without any per-face solve: the
+    # four equalities fix coordinates 0-3 at the generating point (the
+    # condition number of A[:, :4] is 2.8) and f ignores coordinate 4, so f
+    # is constant on the feasible set and its value there is the minimum.
+    inst = face_instance(5, 552, pin=True, tie=True)
+    x_feas = make_box_instance(5, 4, 2, 552).meta["x_feas"]
+    val, _ = exact_lower_bound_box_qp(inst)
+    assert val == pytest.approx(inst.objective.value(x_feas), rel=0.0, abs=1e-12)
+
+
 def test_lower_bound_tie_goes_to_first_face():
     # -||x||^2 / 2 on [-1, 1]^2 without equalities: all four vertices give -1;
     # the first in face order fixes both coordinates at lo
