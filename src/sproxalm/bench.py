@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import plan_stepsizes
+from .constants import MONITOR_LEVELS, plan_stepsizes
 from .problem import ProblemInstance, generate_nonconvex_qp, load_instance
 from .solvers import MONITOR_COUNTERS, Trace, alm_run, sprox_alm_run
 
@@ -37,6 +37,8 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.monitor_level not in MONITOR_LEVELS:
+            raise ValueError(f"monitor_level must be one of {MONITOR_LEVELS}")
         if self.target_eps <= 0:
             raise ValueError("target_eps must be positive")
 

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iters", type=int, default=10_000)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--trace", default=None)
-    s.add_argument("--monitor", choices=("none", "cheap", "full"), default="none")
+    s.add_argument("--monitor", choices=("none", "full"), default="none")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--exact-limit", type=int, default=20)
     s.set_defaults(func=cmd_solve)

@@ -225,17 +225,12 @@ def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[fl
 # step-size planning
 # ---------------------------------------------------------------------------
 
-MONITOR_LEVELS = ("none", "cheap", "full")
+MONITOR_LEVELS = ("none", "full")
 
 
 @dataclass
 class SolverParams:
-    """Algorithm parameters plus run budget.
-
-    ``prox_factor`` selects the certificate's proximal coefficient:
-    1 matches the projected-gradient step as implemented, 2 the
-    alternative prox-weight convention (kept for fidelity testing).
-    """
+    """Algorithm parameters plus run budget."""
 
     rho: float
     p: float
@@ -246,7 +241,6 @@ class SolverParams:
     target_eps: float = 1e-6
     trace_every: int = 1
     monitor_level: str = "none"
-    prox_factor: int = 1
 
     def __post_init__(self):
         if self.monitor_level not in MONITOR_LEVELS:
@@ -255,8 +249,6 @@ class SolverParams:
             raise ValueError("beta must lie in (0, 1]")
         if min(self.rho, self.p, self.c, self.alpha) <= 0:
             raise ValueError("rho, p, c, alpha must be positive")
-        if self.prox_factor not in (1, 2):
-            raise ValueError("prox_factor must be 1 or 2")
 
     def check_against(self, inst: ProblemInstance):
         L = inst.lipschitz_grad + self.rho * inst.sigma_max_A ** 2 + self.p

@@ -25,8 +25,8 @@ from .exceptions import (ConvergenceError, DegenerateActiveSetError,
 from .oracles import project_polyhedron_exact, solve_qp_active_set
 from .problem import Box, Halfspaces, ProblemInstance, QuadraticObjective
 from .projection import StronglyConvexQP
-from .solvers import (IterateState, K_value, WarmProjector, grad_K, inner_minimize_K,
-                      proof_certificate_vector, prox_qp, solve_constrained_strongly_convex)
+from .solvers import (IterateState, K_value, _smoothed_step, inner_minimize_K, prox_qp,
+                      solve_constrained_strongly_convex)
 
 
 @dataclass
@@ -43,20 +43,19 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
                           check_tol: float = 1e-8) -> StationarityReport:
     """Certificate of (x^{t+1}, y^{t+1}) reconstructed from one solver step.
 
-    Verifies that state_next really is the projected-gradient image of
-    x_prev (raises StepMismatchError otherwise), then assembles v from
-    the gradient-difference identity of the step.
+    Replays the step from x_prev with the solver's own kernel, verifies
+    that state_next.x is its projected-gradient image (raises
+    StepMismatchError otherwise), and returns the step's certificate.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     z_prev = np.asarray(z_prev, dtype=float)
-    x1, y1 = state_next.x, state_next.y
-    g = grad_K(inst, x_prev, z_prev, y1, params)
-    x1_replay = WarmProjector(inst, params.target_eps)(x_prev - params.c * g)
-    scale = 1.0 + float(np.linalg.norm(x1))
-    if float(np.linalg.norm(x1_replay - x1)) > check_tol * scale:
+    r = inst.eq_matrix @ x_prev - inst.eq_rhs
+    x1, _z1, _gx1, r1, v = _smoothed_step(inst, params, x_prev, state_next.y, z_prev,
+                                          inst.grad_f(x_prev), r)
+    scale = 1.0 + float(np.linalg.norm(state_next.x))
+    if float(np.linalg.norm(x1 - state_next.x)) > check_tol * scale:
         raise StepMismatchError("state_next is not the projected step from x_prev")
-    v = proof_certificate_vector(inst, x_prev, x1, z_prev, params)
-    eq = float(np.linalg.norm(inst.eq_matrix @ x1 - inst.eq_rhs))
+    eq = float(np.linalg.norm(r1))
     cn = float(np.linalg.norm(v))
     return StationarityReport(eq_residual=eq, cert_vector=v, cert_norm=cn,
                               epsilon=max(eq, cn), method="proof-certificate")
@@ -141,17 +140,17 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
 
 class MonitorContext:
     """Per-run cache for the full monitor: warm starts for the inner
-    solves, the factorisation of the proximal subproblem, and the constants
-    of the descent inequality."""
+    solves, the factorisation of the proximal subproblem, the potential
+    of the last checked state t+1, and the constants of the descent
+    inequality."""
 
     def __init__(self, inst: ProblemInstance, params: SolverParams,
                  inner_tol: float = 1e-10):
         self.inst = inst
         self.params = params
         self.inner_tol = inner_tol
-        qp = prox_qp(inst, params.p)
-        self._warm_t: dict = {"prox_qp": qp}
-        self._warm_t1: dict = {"prox_qp": qp}
+        self._warm: dict = {"prox_qp": prox_qp(inst, params.p)}
+        self._last = None   # (state, phi) of the last check's state t+1
         assert_lb = inst.lower_bound is not None and inst.lower_bound_kind in (
             "exact", "certified")
         self.lower_bound = inst.lower_bound if assert_lb else None
@@ -162,12 +161,19 @@ class MonitorContext:
     def check_step(self, state_t: IterateState, state_t1: IterateState,
                    dx_norm: float | None = None) -> dict:
         inst, params = self.inst, self.params
-        phi_t, _ = potential_value(inst, state_t, params, tol=self.inner_tol,
-                                   _warm=self._warm_t)
+        # consecutive checks share a state: the last state t+1 is this state t
+        last = self._last
+        if last is not None and all(np.array_equal(getattr(state_t, k), getattr(last[0], k))
+                                    for k in "xyz"):
+            phi_t = last[1]
+        else:
+            phi_t, _ = potential_value(inst, state_t, params, tol=self.inner_tol,
+                                       _warm=self._warm)
         phi_t1, _ = potential_value(inst, state_t1, params, tol=self.inner_tol,
-                                    _warm=self._warm_t1)
+                                    _warm=self._warm)
+        self._last = (state_t1.copy(), phi_t1)
         x_step = inner_minimize_K(inst, state_t1.y, state_t.z, params,
-                                  tol=self.inner_tol, x0=self._warm_t.get("x_inner"))
+                                  tol=self.inner_tol, x0=self._warm.get("x_inner"))
         eq_inner = float(np.linalg.norm(inst.eq_matrix @ x_step - inst.eq_rhs))
         if dx_norm is None:
             dx_norm = float(np.linalg.norm(state_t1.x - state_t.x))

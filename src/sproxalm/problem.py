@@ -115,10 +115,12 @@ class Halfspaces:
         return self.G, self.h
 
     @cached_property
-    def sigma_max_G(self) -> float:
-        if self.G.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.G, compute_uv=False)[0])
+    def nearest_point_qp(self):
+        """The least-distance QP of projections onto this set, factorised once."""
+        from .projection import StronglyConvexQP
+
+        n = self.dim
+        return StronglyConvexQP(np.eye(n), np.zeros((0, n)), np.zeros(0), self.G, self.h)
 
 
 Polyhedron = Box | Halfspaces
@@ -220,7 +222,7 @@ def _sample_in_polyhedron(inst: ProblemInstance, rng: np.random.Generator, count
 
     pts = np.empty((count, n))
     for i in range(count):
-        pts[i] = project(P, raw[i], tol=1e-10).point
+        pts[i] = project(P, raw[i]).point
     return pts
 
 

@@ -1,13 +1,10 @@
 """Euclidean projection onto the polyhedral set P, and an exact solver
 for strongly convex QPs over {Ax = b, Gx <= h}.
 
-Boxes project by componentwise clamping (exact).  General halfspace
-systems are handled through the concave projection dual
-
-    maximize_{mu >= 0}  -0.5 ||G' mu||^2 + mu'(G x - h),
-
-driven by accelerated projected gradient ascent with fixed step
-1 / sigma_max(G)^2; the primal point is recovered as x - G' mu.
+Boxes project by componentwise clamping.  A halfspace system projects by
+one least-distance solve: the projection of x onto {Gx <= h} is the QP
+min 0.5||u||^2 - x'u s.t. Gu <= h, answered by ``StronglyConvexQP``
+from a factorisation that the polyhedron builds once.  Both are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import nnls
 
-from .exceptions import ConvergenceError, InfeasibleError
+from .exceptions import InfeasibleError
 from .problem import Box, Polyhedron
 
 
@@ -26,67 +23,23 @@ from .problem import Box, Polyhedron
 class ProjectionResult:
     point: np.ndarray
     dual_multipliers: np.ndarray | None
-    residual: float
+    residual: float   # largest violation of Gx <= h at point; 0 for boxes
 
 
-def _kkt_residual(G, h, x_proj, mu, h_scale):
-    viol = float(np.max(G @ x_proj - h, initial=0.0))
-    compl = float(np.sum(np.abs(mu * (G @ x_proj - h))))
-    return max(viol / h_scale, compl)
+def project(P: Polyhedron, x: np.ndarray) -> ProjectionResult:
+    """Exact projection of x onto P.
 
-
-def project(P: Polyhedron, x: np.ndarray, tol: float = 1e-10,
-            max_iters: int = 200_000, mu0=None) -> ProjectionResult:
-    """Project x onto P to KKT residual <= tol.
-
-    Box projection is exact with residual 0.  For halfspace systems the
-    dual ascent terminates once the constraint violation (relative to
-    1 + ||h||) and the complementary slackness sum both fall below tol;
-    hitting the iteration cap raises ConvergenceError carrying the best
-    iterate found.  ``mu0`` optionally warm-starts the dual iteration.
+    Halfspace systems also return the multipliers mu >= 0 of their rows,
+    with x - point = G'mu; an empty system raises InfeasibleError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input has non-finite coordinates")
-
     if isinstance(P, Box):
         return ProjectionResult(point=P.clip(x), dual_multipliers=None, residual=0.0)
-
-    G, h = P.G, P.h
-    if G.shape[0] == 0:
-        return ProjectionResult(point=x.copy(), dual_multipliers=np.zeros(0), residual=0.0)
-    if P.contains(x, tol=0.0):
-        return ProjectionResult(point=x.copy(), dual_multipliers=np.zeros(G.shape[0]),
-                                residual=0.0)
-
-    h_scale = 1.0 + float(np.linalg.norm(h))
-    step = 1.0 / max(P.sigma_max_G ** 2, 1e-300)
-    mu = np.zeros(G.shape[0]) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), 0.0)
-    mu_prev = mu.copy()
-    theta_prev = 1.0
-    best = None
-    best_res = np.inf
-    for k in range(max_iters):
-        theta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_prev ** 2))
-        w = mu + ((theta_prev - 1.0) / theta) * (mu - mu_prev)
-        w = np.maximum(w, 0.0)
-        grad = G @ (x - G.T @ w) - h  # dual gradient at w
-        mu_next = np.maximum(w + step * grad, 0.0)
-
-        pt = x - G.T @ mu_next
-        res = _kkt_residual(G, h, pt, mu_next, h_scale)
-        if res < best_res:
-            best_res = res
-            best = ProjectionResult(point=pt, dual_multipliers=mu_next, residual=res)
-        if res <= tol:
-            return best
-        mu_prev, mu, theta_prev = mu, mu_next, theta
-    raise ConvergenceError(
-        f"projection did not reach tol={tol} in {max_iters} iterations",
-        best=best, residual=best_res,
-    )
+    point, _, mu = P.nearest_point_qp.solve(-x)
+    return ProjectionResult(point=point, dual_multipliers=mu,
+                            residual=float(np.max(P.G @ point - P.h, initial=0.0)))
 
 
 class StronglyConvexQP:

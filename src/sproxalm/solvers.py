@@ -1,6 +1,7 @@
-"""Iterative methods: the smoothed proximal augmented Lagrangian loop,
-the classical augmented Lagrangian baseline, the projected-gradient loop
-of their inner solves, and the exact constrained proximal solve.
+"""Iterative methods: the smoothed proximal augmented Lagrangian loop and
+its one step kernel, the classical augmented Lagrangian baseline, the
+projected-gradient loop of their inner solves, and the exact constrained
+proximal solve.
 
 Notation used throughout: the augmented Lagrangian is
 
@@ -131,53 +132,38 @@ def _lipschitz_K(inst: ProblemInstance, params: SolverParams) -> float:
     return inst.lipschitz_grad + params.rho * inst.sigma_max_A ** 2 + params.p
 
 
-def _proj_tol(outer_tol: float) -> float:
-    """Projection tolerance tied to the outer tolerance, floored so a zero
-    target (run-to-budget mode) still yields a positive tolerance."""
-    if outer_tol <= 0:
-        return 1e-10
-    return max(min(1e-10, outer_tol * 1e-3), 1e-14)
-
-
-class WarmProjector:
-    """Projection onto the instance's polyhedron that carries its dual
-    multipliers between calls; consecutive solver iterates are close, so
-    warm duals cut the iterative projection cost by an order of magnitude.
-    Projections run to ``_proj_tol(outer_tol)``; a fresh projector's first
-    call is a cold projection."""
-
-    def __init__(self, inst: ProblemInstance, outer_tol: float):
-        self.P = inst.polyhedron
-        self.tol = _proj_tol(outer_tol)
-        self._mu = None
-        self._is_box = isinstance(self.P, Box)
-
-    def __call__(self, x):
-        if self._is_box:
-            return np.clip(x, self.P.lo, self.P.hi)
-        res = project(self.P, x, tol=self.tol, mu0=self._mu)
-        self._mu = res.dual_multipliers
-        return res.point
+def _proj(P, x):
+    """Exact projection of x onto P: a clamp for boxes, which never goes
+    through ``project``, and one least-distance solve for halfspaces."""
+    if isinstance(P, Box):
+        return np.clip(x, P.lo, P.hi)
+    return project(P, x).point
 
 
 def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: float,
-                        proj: WarmProjector, tol: float, max_iters: int):
+                        tol: float, max_iters: int):
     """Projected gradient with step 1/L on
 
         f(x) + lin'x + (rho/2)||Ax - b||^2 + (p/2)||x||^2   over P,
 
     from x in P.  Returns (x, residual, converged): on convergence x is the
     point at which the scaled fixed-point residual L ||x - proj(x - grad/L)||
-    fell to tol, otherwise the last iterate after max_iters steps.
+    fell to tol, otherwise the last iterate after max_iters steps.  A
+    gradient step to a point of norm beyond 1e12, or to a non-finite one,
+    raises DivergenceError: the objective is then unbounded below on P.
     """
-    A, b = inst.eq_matrix, inst.eq_rhs
+    A, b, P = inst.eq_matrix, inst.eq_rhs, inst.polyhedron
     step = 1.0 / max(L, 1e-12)
     res = np.inf
     for _ in range(max_iters):
         g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b))
         if p:
             g += p * x
-        x_new = proj(x - step * g)
+        x_new = x - step * g
+        if not float(x_new @ x_new) <= _GUARD ** 2:
+            raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
+                                  f"{_GUARD:g})")
+        x_new = _proj(P, x_new)
         res = L * float(np.linalg.norm(x - x_new))
         if res <= tol:
             return x, res, True
@@ -198,10 +184,9 @@ def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     lin = inst.eq_matrix.T @ y - params.p * z  # the part of grad K linear in y and z
-    proj = WarmProjector(inst, tol)
-    x = proj(z.copy() if x0 is None else np.asarray(x0, dtype=float))
+    x = _proj(inst.polyhedron, z if x0 is None else np.asarray(x0, dtype=float))
     x, res, converged = _projected_gradient(inst, x, lin, params.rho, params.p,
-                                            _lipschitz_K(inst, params), proj, tol, max_iters)
+                                            _lipschitz_K(inst, params), tol, max_iters)
     if not converged:
         raise ConvergenceError("inner projected gradient hit the iteration cap", best=x,
                                residual=res)
@@ -272,8 +257,9 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
     Each outer step minimizes L_rho(.; y) over P, then updates
     y <- y + rho (Ax - b).  When the inner problem is not strongly convex
     the inner solve is a projected-gradient run to a stationary point and
-    the result is flagged heuristic.  Multiplier norms beyond 1e12 raise
-    DivergenceError (the nonconvex baseline may diverge).
+    the result is flagged heuristic.  Multiplier or iterate norms beyond
+    1e12, of the outer or the inner iteration, raise DivergenceError (the
+    nonconvex baseline may diverge).
 
     Trace note: the cert_norm column holds the inner fixed-point residual,
     which bounds the certificate available at (x, y + rho(Ax-b)) after the
@@ -290,15 +276,13 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
     L_in = float(eig[-1])
 
     y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    proj = WarmProjector(inst, tol)
-    x = proj(np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
+    x = _proj(inst.polyhedron, np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
     trace = Trace(capacity=max_outer + 1)
     b_scale = 1.0 + float(np.linalg.norm(b))
     converged = False
     for t in range(max_outer):
         x_prev = x
-        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, 0.0, L_in, proj, tol,
-                                              200_000)
+        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, 0.0, L_in, tol, 200_000)
         r = A @ x - b
         feas = float(np.linalg.norm(r))
         y = y + rho * r
@@ -314,17 +298,35 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
                      heuristic=heuristic, converged=converged)
 
 
-def grad_K(inst: ProblemInstance, x, z, y, params: SolverParams, grad_f_x=None):
-    """grad_x K(x, z; y) = grad f(x) + A'y + rho A'(Ax-b) + p(x-z)."""
-    A, b = inst.eq_matrix, inst.eq_rhs
-    g = inst.grad_f(x) if grad_f_x is None else grad_f_x
-    return g + A.T @ y + params.rho * (A.T @ (A @ x - b)) + params.p * (x - z)
-
-
 def K_value(inst: ProblemInstance, x, z, y, params: SolverParams) -> float:
     r = inst.eq_matrix @ x - inst.eq_rhs
     return (inst.f(x) + float(y @ r) + 0.5 * params.rho * float(r @ r)
             + 0.5 * params.p * float(np.dot(x - z, x - z)))
+
+
+def _smoothed_step(inst: ProblemInstance, params: SolverParams, x, y1, z, gx, r):
+    """The primal half of one outer iteration, and its certificate.
+
+    Given x, the updated multiplier y1, the anchor z, gx = grad f(x) and
+    r = Ax - b, takes the projected gradient step x1 = proj(x - c g) with
+    g = grad_x K(x, z; y1) and the averaging step z1 = z + beta (x1 - z).
+    Returns (x1, z1, grad f(x1), Ax1 - b, v), where
+
+        v = grad f(x1) + A'y1 - g - (x1 - x)/c
+
+    lies in grad f(x1) + A'y1 + N_P(x1), because x - c g - x1 is normal
+    to P at x1.
+    """
+    A, b = inst.eq_matrix, inst.eq_rhs
+    Aty = A.T @ y1
+    g = gx + Aty + params.rho * (A.T @ r) + params.p * (x - z)
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("non-finite gradient in the primal step")
+    x1 = _proj(inst.polyhedron, x - params.c * g)
+    z1 = z + params.beta * (x1 - z)
+    gx1 = inst.grad_f(x1)
+    v = gx1 + Aty - g - (x1 - x) / params.c
+    return x1, z1, gx1, A @ x1 - b, v
 
 
 def sprox_alm_step(inst: ProblemInstance, state: IterateState,
@@ -334,31 +336,10 @@ def sprox_alm_step(inst: ProblemInstance, state: IterateState,
     x, y, z = state.x, state.y, state.z
     if x.shape[0] != inst.n or y.shape[0] != inst.m:
         raise ValueError("state dimensions do not match the instance")
-    A, b = inst.eq_matrix, inst.eq_rhs
-    y1 = y + params.alpha * (A @ x - b)
-    g = grad_K(inst, x, z, y1, params)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite gradient in the primal step")
-    x1 = WarmProjector(inst, params.target_eps)(x - params.c * g)
-    z1 = z + params.beta * (x1 - z)
+    r = inst.eq_matrix @ x - inst.eq_rhs
+    y1 = y + params.alpha * r
+    x1, z1, *_ = _smoothed_step(inst, params, x, y1, z, inst.grad_f(x), r)
     return IterateState(x=x1, y=y1, z=z1, t=state.t + 1)
-
-
-def proof_certificate_vector(inst: ProblemInstance, x_prev, x_next, z_prev,
-                             params: SolverParams, grad_prev=None, grad_next=None):
-    """Certificate v lying in grad f(x+) + A'y+ + subdifferential of the
-    indicator of P, assembled from one step's displacement:
-
-        v = [grad f(x+) - grad f(x)] + (rho A'A + pI)(x+ - x)
-            - (prox_factor/c)(x+ - x) - rho A'(Ax+ - b) - p(x+ - z).
-    """
-    A, b = inst.eq_matrix, inst.eq_rhs
-    gp = inst.grad_f(x_prev) if grad_prev is None else grad_prev
-    gn = inst.grad_f(x_next) if grad_next is None else grad_next
-    dx = x_next - x_prev
-    return (gn - gp + params.rho * (A.T @ (A @ dx)) + params.p * dx
-            - (params.prox_factor / params.c) * dx
-            - params.rho * (A.T @ (A @ x_next - b)) - params.p * (x_next - z_prev))
 
 
 @dataclass
@@ -394,9 +375,7 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
     run every trace_every iterations and their violation counts land in
     the monitor dict.
     """
-    A, b = inst.eq_matrix, inst.eq_rhs
-    proj = WarmProjector(inst, params.target_eps)
-    x = proj(np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
+    x = _proj(inst.polyhedron, np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
     z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
     y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
 
@@ -410,23 +389,12 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
     trace = Trace(capacity=min(params.max_iters, 1 << 20) + 1)
     best = None
     gx = inst.grad_f(x)
-    rho, p, c, alpha, beta = params.rho, params.p, params.c, params.alpha, params.beta
-    fac = params.prox_factor
+    r = inst.eq_matrix @ x - inst.eq_rhs
     state_t = 0
     for t in range(params.max_iters):
-        r = A @ x - b
-        y1 = y + alpha * r
-        g = gx + A.T @ y1 + rho * (A.T @ r) + p * (x - z)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient at iteration {t}")
-        x1 = proj(x - c * g)
-        z1 = z + beta * (x1 - z)
-        gx1 = inst.grad_f(x1)
-
+        y1 = y + params.alpha * r
+        x1, z1, gx1, r1, v = _smoothed_step(inst, params, x, y1, z, gx, r)
         dx = x1 - x
-        r1 = A @ x1 - b
-        v = (gx1 - gx + rho * (A.T @ (A @ dx)) + p * dx - (fac / c) * dx
-             - rho * (A.T @ r1) - p * (x1 - z))
         cert = float(np.linalg.norm(v))
         eq1 = float(np.linalg.norm(r1))
         eps_t = max(cert, eq1)
@@ -455,7 +423,7 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
             trace.append(t, inst.f(x1), eq1, cert, float(np.linalg.norm(dx)),
                          float(np.linalg.norm(z1 - z)), phi_val, phi_ok)
 
-        x, y, z, gx = x1, y1, z1, gx1
+        x, y, z, gx, r = x1, y1, z1, gx1, r1
         state_t = t + 1
         if eps_t <= params.target_eps:
             break

@@ -132,6 +132,18 @@ def test_cli_solve_reports_every_monitor_counter(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["monitors"] == dict.fromkeys(summary["monitors"])
 
 
+def test_cli_alm_divergence_exits_2(tmp_path, capsys):
+    # the inner problem of this nonconvex ALM run is unbounded below on P
+    from tests.conftest import make_general_instance
+
+    problem = tmp_path / "qp.json"
+    save_instance(make_general_instance(6, 2, 4, neg_eigs=2, seed=63), problem)
+    rc = main(["solve", "--problem", str(problem), "--algo", "alm", "--mode", "practical",
+               "--tol", "1e-8", "--max-iters", "40"])
+    assert rc == 2
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_cli_invalid_problem_exits_3_without_trace(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

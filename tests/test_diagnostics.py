@@ -15,7 +15,8 @@ from sproxalm.exceptions import ConvergenceError, StepMismatchError
 from sproxalm.oracles import enumerate_kkt_points, project_polyhedron_exact
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d)
-from sproxalm.solvers import IterateState, sprox_alm_step
+from sproxalm.projection import project
+from sproxalm.solvers import IterateState, sprox_alm_run, sprox_alm_step
 from tests.conftest import make_box_instance, make_general_instance
 
 PARAMS_1D = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.05, beta=0.03)
@@ -67,6 +68,24 @@ def test_certificate_norm_bound_chain(seed):
              + rep.rho * rep.sigma_max_A * out.eq_residual
              + rep.p * np.linalg.norm(st1.x - st0.z))
     assert out.cert_norm <= bound * (1 + 1e-9) + 1e-12
+
+
+def test_run_trace_certificates_equal_step_replays():
+    # the run, one step and the certificate replay share one step kernel
+    inst = make_general_instance(4, 2, 3, neg_eigs=1, seed=7)
+    params, _ = plan_stepsizes(inst, "practical")
+    params.max_iters = 30
+    x0 = inst.meta["x_feas"] + 2.0   # 18 of the 30 step projections have active rows
+    res = sprox_alm_run(inst, params, x0=x0)
+    x_start = project(inst.polyhedron, x0).point
+    st = IterateState(x_start, np.zeros(inst.m), x_start.copy())
+    certs = []
+    for _ in range(len(res.trace)):
+        st1 = sprox_alm_step(inst, st, params)
+        certs.append(certificate_from_step(inst, st.x, st1, st.z, params).cert_norm)
+        st = st1
+    assert np.array_equal(certs, res.trace.column("cert_norm"))
+    assert np.array_equal(st.x, res.state.x)
 
 
 def test_minnorm_on_free_space_is_plain_gradient():
@@ -173,6 +192,30 @@ def test_descent_lemmas_hold_on_theoretical_run():
         for name, (lhs, rhs, ok) in out.items():
             assert ok, f"{name}: lhs={lhs} rhs={rhs}"
         st0 = st1
+
+
+def test_monitor_computes_one_potential_per_state(monkeypatch):
+    calls = []
+    potential = diagnostics.potential_value
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return potential(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "potential_value", counted)
+    inst = fixed_instance_1d()
+    params, _ = plan_stepsizes(inst, "theoretical")
+    ctx = MonitorContext(inst, params)
+    st0 = st = IterateState(np.array([0.8]), np.zeros(1), np.array([0.8]))
+    n = 5
+    for _ in range(n):
+        st1 = sprox_alm_step(inst, st, params)
+        assert ctx.check_step(st, st1)["descent_ok"]
+        st = st1
+    assert len(calls) == n + 1
+    # a check whose state t is not the last state t+1 computes both potentials
+    ctx.check_step(st0, sprox_alm_step(inst, st0, params))
+    assert len(calls) == n + 3
 
 
 def test_monitor_context_checks_descent_and_bounds():
@@ -360,16 +403,3 @@ def test_segment_multiplier_set_distance_bound():
         dist = multiplier_set_distance(g, b.y, b.mu, a.s * seg.r_tilde, a.x, a.active)
         lhs = dist + np.linalg.norm(a.x - b.x)
         assert lhs <= seg.sigma5 * dr * (1 + 1e-6) + 1e-9
-
-
-def test_prox_factor_two_variant():
-    # the alternative prox-weight convention doubles the displacement term
-    inst = fixed_instance_1d()
-    p1 = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.05, beta=0.03, prox_factor=1)
-    p2 = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.05, beta=0.03, prox_factor=2)
-    st0 = IterateState(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    st1 = sprox_alm_step(inst, st0, p1)   # the step itself is identical
-    r1 = certificate_from_step(inst, st0.x, st1, st0.z, p1)
-    r2 = certificate_from_step(inst, st0.x, st1, st0.z, p2)
-    dx = st1.x[0] - st0.x[0]
-    assert r2.cert_vector[0] - r1.cert_vector[0] == pytest.approx(-dx / 0.1, abs=1e-14)

@@ -144,6 +144,16 @@ def test_alm_divergence_guard_on_infeasible_system():
         alm_run(inst, params)
 
 
+def test_alm_unbounded_inner_problem_raises_divergence():
+    # the inner projected gradient of this nonconvex ALM run is unbounded below on P
+    inst = make_general_instance(6, 2, 4, neg_eigs=2, seed=63)
+    params, _ = plan_stepsizes(inst, "practical")
+    params.target_eps = 1e-8
+    params.max_iters = 40
+    with pytest.raises(DivergenceError):
+        alm_run(inst, params)
+
+
 # -------------------------------------------------------------- sprox step
 
 def test_step_worked_example_exact():
