@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bench import ExperimentConfig, run_experiment
-from .constants import hoffman_theta_exact, plan_stepsizes
+from .constants import dual_error_bound_constant, hoffman_theta_exact, plan_stepsizes
 from .diagnostics import trace_segment_decomposition, verify_dual_error_bound, verify_hoffman
 from .exceptions import ConvergenceError, DivergenceError
 from .problem import generate_nonconvex_qp, load_instance, save_instance
@@ -33,7 +34,7 @@ def _emit(obj) -> None:
 def _load_problem_or_exit(path):
     try:
         return load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # RecursionError: deep nesting
         print(f"error: cannot load problem file {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
@@ -53,7 +54,8 @@ def cmd_solve(args) -> int:
     inst = _load_problem_or_exit(args.problem)  # I/O problems exit 3 before any trace output
     try:
         summary = run_experiment(cfg, inst)
-    except (DivergenceError, ConvergenceError, FloatingPointError) as exc:
+    except (DivergenceError, ConvergenceError, FloatingPointError, OverflowError,
+            ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
@@ -68,7 +70,7 @@ def cmd_constants(args) -> int:
     try:
         _params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
                                          rng_seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _emit(report.to_dict())
@@ -80,9 +82,14 @@ def cmd_verify_eb(args) -> int:
     try:
         params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
                                         rng_seed=args.seed)
+        sigma5_bar = report.sigma5_bar
+        if sigma5_bar is None:  # a practical plan leaves out the sampled theta
+            _theta, _exact, sigma5_bar = dual_error_bound_constant(
+                inst, report.L, report.gamma_K, exact_limit=args.exact_limit,
+                rng_seed=args.seed)
         out = verify_dual_error_bound(inst, params, n_samples=args.samples,
-                                      rng_seed=args.seed, sigma5_bar=report.sigma5_bar)
-    except (DivergenceError, ConvergenceError, RuntimeError, ValueError) as exc:
+                                      rng_seed=args.seed, sigma5_bar=sigma5_bar)
+    except (DivergenceError, ConvergenceError, RuntimeError, ValueError, OverflowError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     _emit(out.to_dict())
@@ -99,13 +106,17 @@ def _load_system(path):
     C2 = np.asarray(data.get("C2", []), dtype=float).reshape(-1, n)
     b2 = np.asarray(data.get("b2", []), dtype=float)
     theta = data.get("theta")
-    return C1, b1, C2, b2, None if theta is None else float(theta)
+    if theta is not None:
+        theta = float(theta)
+        if not (math.isfinite(theta) and theta > 0):
+            raise ValueError(f"theta must be positive and finite (got {theta})")
+    return C1, b1, C2, b2, theta
 
 
 def cmd_verify_hoffman(args) -> int:
     try:
         C1, b1, C2, b2, theta = _load_system(args.system)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"error: cannot load system file {args.system!r}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -134,7 +145,7 @@ def cmd_trace_segment(args) -> int:
         rng = np.random.default_rng(args.seed)
         y_tilde = args.y_scale * rng.standard_normal(inst.m)
         seg = trace_segment_decomposition(g_inst, y_tilde, grid_size=args.grid)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     result = {

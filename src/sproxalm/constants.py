@@ -70,9 +70,14 @@ def build_hoffman_matrix(A, G) -> np.ndarray:
     ])
 
 
-def _rank_tol(M) -> float:
-    smax = float(np.linalg.svd(M, compute_uv=False)[0]) if min(M.shape) <= 64 else spectral_norm(M)
-    return max(M.shape) * _EPS * max(smax, 1.0)
+def _rank_and_tol(M) -> tuple[int, float]:
+    """Numerical rank of M (the ``np.linalg.matrix_rank`` rule) and the
+    singular-value floor of its row subsets, both from one SVD of M."""
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0:
+        return 0, 0.0
+    rank = int(np.count_nonzero(s > s[0] * max(M.shape) * _EPS))
+    return rank, max(M.shape) * _EPS * max(float(s[0]), 1.0)
 
 
 def _theta_from_singular_values(sv, tol):
@@ -89,7 +94,7 @@ def hoffman_theta_exact(M, chunk: int = 20_000) -> float:
     """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows = M.shape[0]
-    r = int(np.linalg.matrix_rank(M))
+    r, tol = _rank_and_tol(M)
     if r == 0:
         return 0.0
     total = comb(rows, r)
@@ -97,7 +102,6 @@ def hoffman_theta_exact(M, chunk: int = 20_000) -> float:
         raise ValueError(
             f"exact enumeration needs {total} subsets; reduce exact_limit or use sampling"
         )
-    tol = _rank_tol(M)
     best = 0.0
     combos = combinations(range(rows), r)
     while True:
@@ -184,10 +188,9 @@ def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator,
     """Lower-bound estimate of theta from random rank(M)-row submatrices."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows = M.shape[0]
-    r = int(np.linalg.matrix_rank(M))
+    r, tol = _rank_and_tol(M)
     if r == 0:
         return 0.0
-    tol = _rank_tol(M)
     best = 0.0
     done = 0
     while done < n_samples:
@@ -215,7 +218,7 @@ def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[fl
         m = A.shape[0]
         full_row_rank_A = np.linalg.matrix_rank(A) == m
         if G is not None and np.size(G) and _two_sided_box_rows(G) and full_row_rank_A:
-            return hoffman_theta_exact_box(A, _rank_tol(M)), True
+            return hoffman_theta_exact_box(A, _rank_and_tol(M)[1]), True
         return hoffman_theta_exact(M), True
     rng = np.random.default_rng(rng_seed)
     return hoffman_theta_sampled(M, 10_000, rng), False
@@ -268,12 +271,12 @@ class ConstantsReport:
     sigma2: float
     sigma3: float
     sigma4: float
-    theta_bar: float
+    theta_bar: float | None       # None: a practical plan above exact_limit rows
     theta_exact: bool
-    sigma5_bar: float
+    sigma5_bar: float | None
     c_max: float
     alpha_max: float
-    beta_max: float
+    beta_max: float | None
     B1: float
     B2: float
     mode: str
@@ -295,6 +298,17 @@ def sigma5_from_theta(theta_bar: float, L: float, gamma: float) -> float:
     return float(np.sqrt(2.0) * (theta_bar * L ** 2 + 1.0) / gamma)
 
 
+def dual_error_bound_constant(inst: ProblemInstance, L: float, gamma: float,
+                              exact_limit: int = 20, rng_seed: int = 0):
+    """(theta_bar, theta_exact, sigma5_bar) of an instance: the Hoffman
+    constant of its multiplier system (``hoffman_constant``) and the dual
+    error-bound constant it gives (``sigma5_from_theta``)."""
+    G, _h = inst.polyhedron.as_halfspaces()
+    theta_bar, exact = hoffman_constant(inst.eq_matrix, G, exact_limit=exact_limit,
+                                        rng_seed=rng_seed)
+    return theta_bar, exact, sigma5_from_theta(theta_bar, L, gamma)
+
+
 def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = None,
                    exact_limit: int = 20, rng_seed: int = 0):
     """Derive (SolverParams, ConstantsReport) for an instance.
@@ -303,8 +317,11 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
     (p = 3 L_f, rho = L_f, c, alpha, and beta through the certified
     sigma5_bar).  practical mode keeps c but relaxes beta to
     min(1/30, 0.01), which carries no convergence guarantee and is
-    flagged as such.  Overrides replace individual values; in
-    theoretical mode they are validated against the strict bounds.
+    flagged as such; it computes theta_bar only when it is exact (at
+    most ``exact_limit`` rows of M), and otherwise reports theta_bar,
+    sigma5_bar and beta_max as None with a warning.  Overrides replace
+    individual values; in theoretical mode they are validated against
+    the strict bounds.
     """
     if mode not in ("theoretical", "practical"):
         raise ValueError("mode must be 'theoretical' or 'practical'")
@@ -340,11 +357,15 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
+    # the practical beta does not use theta, so a practical plan skips
+    # the sampled estimate above exact_limit rows of M = [[A', G'], [0, I]]
     G, _h = inst.polyhedron.as_halfspaces()
-    theta_bar, theta_exact = hoffman_constant(inst.eq_matrix, G, exact_limit=exact_limit,
-                                              rng_seed=rng_seed)
-    sigma5_bar = sigma5_from_theta(theta_bar, L, gamma_K)
-    beta_max = float(min(1.0 / 30.0, alpha / (12.0 * p * sigma5_bar ** 2)))
+    theta_bar = sigma5_bar = beta_max = None
+    theta_exact = False
+    if mode == "theoretical" or inst.n + G.shape[0] <= exact_limit:
+        theta_bar, theta_exact, sigma5_bar = dual_error_bound_constant(
+            inst, L, gamma_K, exact_limit=exact_limit, rng_seed=rng_seed)
+        beta_max = float(min(1.0 / 30.0, alpha / (12.0 * p * sigma5_bar ** 2)))
 
     if mode == "theoretical":
         if not theta_exact:
@@ -359,6 +380,12 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
         if not 0 < beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
         warnings.append("practical beta carries no theoretical guarantee")
+        if theta_bar is None:
+            warnings.append(
+                f"theta_bar not computed: M has more than {exact_limit} rows, where only a "
+                "sampled lower bound that certifies nothing is available, and the "
+                "practical beta does not use theta"
+            )
 
     sigma1 = c * gamma_K
     sigma2 = sigma1 / (1.0 + sigma1)

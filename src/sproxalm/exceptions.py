@@ -18,7 +18,12 @@ class ConvergenceError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Iterates blew past the divergence guard (norm > 1e12)."""
+    """Iterates blew past the divergence guard (norm > 1e12).
+
+    The last iterate before the blow-up is attached as ``state``: an
+    ``IterateState`` from an outer loop, the last point in P from the
+    inner projected-gradient loop.
+    """
 
     def __init__(self, message, state=None):
         super().__init__(message)

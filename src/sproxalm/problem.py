@@ -12,6 +12,7 @@ oracles plus a declared Lipschitz constant of the gradient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -424,31 +425,81 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
     return out
 
 
+def _json_number(data: dict, key: str, integer: bool = False):
+    """data[key] as a finite float (or, with integer=True, a non-negative
+    int); ValueError for anything else, a missing key included."""
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{key!r} must be {'an integer' if integer else 'a number'}")
+    if integer:
+        if value < 0:
+            raise ValueError(f"{key!r} must be non-negative")
+        return value
+    try:
+        value = float(value)
+    except OverflowError as exc:   # an integer beyond the float range
+        raise ValueError(f"{key!r} must be finite") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite")
+    return value
+
+
+def _json_array(data: dict, key: str, shape, finite: bool = True) -> np.ndarray:
+    """data[key], a flat list of numbers, as a float array of the given
+    shape; ValueError for anything else.  With finite=False, +-inf is
+    allowed (box bounds), NaN never."""
+    value = data.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list of numbers")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:   # nested lists, strings, huge ints
+        raise ValueError(f"{key!r} must be a flat list of numbers") from exc
+    if arr.ndim != 1:
+        raise ValueError(f"{key!r} must be a flat list of numbers")
+    if np.any(np.isnan(arr)) or (finite and np.any(np.isinf(arr))):
+        raise ValueError(f"{key!r} has non-finite entries")
+    return arr.reshape(shape)
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
-    n = int(data["n"])
-    m = int(data["m"])
-    Q = np.asarray(data["Q"], dtype=float).reshape(n, n)
-    q = np.asarray(data["q"], dtype=float)
-    A = np.asarray(data["A"], dtype=float).reshape(m, n)
-    b = np.asarray(data["b"], dtype=float)
-    poly = data["polyhedron"]
-    if poly["type"] == "box":
-        P = Box(np.asarray(poly["lo"], dtype=float), np.asarray(poly["hi"], dtype=float))
-    elif poly["type"] == "general":
-        G = np.asarray(poly["G"], dtype=float).reshape(-1, n)
-        P = Halfspaces(G, np.asarray(poly["h"], dtype=float))
+    """The instance of a problem file's JSON object (the schema above).
+
+    Malformed data (not an object, a missing or ill-typed field, null or
+    non-finite numbers, wrong sizes) raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a problem file holds one JSON object")
+    n = _json_number(data, "n", integer=True)
+    m = _json_number(data, "m", integer=True)
+    Q = _json_array(data, "Q", (n, n))
+    q = _json_array(data, "q", (n,))
+    A = _json_array(data, "A", (m, n))
+    b = _json_array(data, "b", (m,))
+    poly = data.get("polyhedron")
+    if not isinstance(poly, dict):
+        raise ValueError("'polyhedron' must be an object")
+    if poly.get("type") == "box":
+        P = Box(_json_array(poly, "lo", (n,), finite=False),
+                _json_array(poly, "hi", (n,), finite=False))
+    elif poly.get("type") == "general":
+        G = _json_array(poly, "G", (-1, n))
+        P = Halfspaces(G, _json_array(poly, "h", (G.shape[0],)))
     else:
-        raise ValueError(f"unknown polyhedron type {poly['type']!r}")
-    meta = dict(data.get("meta", {}))
+        raise ValueError(f"unknown polyhedron type {poly.get('type')!r}")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("'meta' must be an object")
+    meta = dict(meta)
     if "x_feas" in meta:
-        meta["x_feas"] = np.asarray(meta["x_feas"], dtype=float)
+        meta["x_feas"] = _json_array(meta, "x_feas", (n,))
+    offset = _json_number(data, "offset") if "offset" in data else 0.0
     inst = ProblemInstance(
-        objective=QuadraticObjective(Q=Q, q=q, offset=float(data.get("offset", 0.0))),
-        lipschitz_grad=float(data["L_f"]),
+        objective=QuadraticObjective(Q=Q, q=q, offset=offset),
+        lipschitz_grad=_json_number(data, "L_f"),
         eq_matrix=A,
         eq_rhs=b,
         polyhedron=P,
-        lower_bound=float(data["f_lower"]) if "f_lower" in data else None,
+        lower_bound=_json_number(data, "f_lower") if "f_lower" in data else None,
         lower_bound_kind=meta.pop("f_lower_kind", None),
         meta=meta,
     )

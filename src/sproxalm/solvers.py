@@ -20,6 +20,7 @@ exponential-averaging update of z.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,12 @@ def _lipschitz_K(inst: ProblemInstance, params: SolverParams) -> float:
     return inst.lipschitz_grad + params.rho * inst.sigma_max_A ** 2 + params.p
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a real 1-D vector: what ``np.linalg.norm`` computes
+    for one, bit for bit, without its dispatch cost in the main loop."""
+    return math.sqrt(v @ v)
+
+
 def _proj(P, x):
     """Exact projection of x onto P: a clamp for boxes, which never goes
     through ``project``, and one least-distance solve for halfspaces."""
@@ -150,7 +157,8 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: 
     point at which the scaled fixed-point residual L ||x - proj(x - grad/L)||
     fell to tol, otherwise the last iterate after max_iters steps.  A
     gradient step to a point of norm beyond 1e12, or to a non-finite one,
-    raises DivergenceError: the objective is then unbounded below on P.
+    raises DivergenceError carrying the last iterate in P as ``state``:
+    the objective is then unbounded below on P.
     """
     A, b, P = inst.eq_matrix, inst.eq_rhs, inst.polyhedron
     step = 1.0 / max(L, 1e-12)
@@ -162,7 +170,7 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: 
         x_new = x - step * g
         if not float(x_new @ x_new) <= _GUARD ** 2:
             raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
-                                  f"{_GUARD:g})")
+                                  f"{_GUARD:g})", state=x)
         x_new = _proj(P, x_new)
         res = L * float(np.linalg.norm(x - x_new))
         if res <= tol:
@@ -393,16 +401,19 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
     state_t = 0
     for t in range(params.max_iters):
         y1 = y + params.alpha * r
-        x1, z1, gx1, r1, v = _smoothed_step(inst, params, x, y1, z, gx, r)
+        try:
+            x1, z1, gx1, r1, v = _smoothed_step(inst, params, x, y1, z, gx, r)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} at iteration {t}") from exc
         dx = x1 - x
-        cert = float(np.linalg.norm(v))
-        eq1 = float(np.linalg.norm(r1))
+        cert = _norm(v)
+        eq1 = _norm(r1)
         eps_t = max(cert, eq1)
         if best is None or eps_t < best.eps:
             best = BestCertificate(t=t, x=x1.copy(), y=y1.copy(),
                                    cert_norm=cert, eq_residual=eq1)
 
-        if float(np.linalg.norm(y1)) > _GUARD or float(np.linalg.norm(x1)) > _GUARD:
+        if _norm(y1) > _GUARD or _norm(x1) > _GUARD:
             raise DivergenceError("iterate or multiplier blow-up",
                                   state=IterateState(x1, y1, z1, t + 1))
 
@@ -411,7 +422,7 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
         if emit and mon_ctx is not None:
             checks = mon_ctx.check_step(
                 IterateState(x, y, z, t), IterateState(x1, y1, z1, t + 1),
-                dx_norm=float(np.linalg.norm(dx)),
+                dx_norm=_norm(dx),
             )
             phi_val, phi_ok = checks["phi"], float(checks["descent_ok"])
             monitor["checks"] += 1
@@ -420,8 +431,7 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
                 monitor["lemma34_violations"] += int(not checks["lower_bound_ok"])
             monitor["step_error_bound_violations"] += int(not checks["step_error_bound_ok"])
         if emit:
-            trace.append(t, inst.f(x1), eq1, cert, float(np.linalg.norm(dx)),
-                         float(np.linalg.norm(z1 - z)), phi_val, phi_ok)
+            trace.append(t, inst.f(x1), eq1, cert, _norm(dx), _norm(z1 - z), phi_val, phi_ok)
 
         x, y, z, gx, r = x1, y1, z1, gx1, r1
         state_t = t + 1

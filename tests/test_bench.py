@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sproxalm.bench import ExperimentConfig, fit_rate, run_experiment
 from sproxalm.cli import main
-from sproxalm.problem import fixed_instance_1d, save_instance
+from sproxalm.problem import (fixed_instance_1d, generate_nonconvex_qp, instance_to_dict,
+                              save_instance)
 from sproxalm.solvers import Trace
+from tests.conftest import make_general_instance
 
 
 # ----------------------------------------------------------------- fit_rate
@@ -212,3 +218,140 @@ def test_cli_entrypoint_module():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "solve" in out.stdout and "gen-qp" in out.stdout
+
+
+# ------------------------------------------- practical plans without theta
+
+@pytest.fixture
+def thirty_row_problem(tmp_path):
+    """A box instance whose multiplier system M has 10 + 20 rows, above the
+    default exact_limit of 20."""
+    path = tmp_path / "box10.json"
+    save_instance(generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=0), path)
+    return str(path)
+
+
+def test_cli_verify_eb_bound_is_the_same_in_both_modes(thirty_row_problem, capsys):
+    outputs = []
+    for mode in ("practical", "theoretical"):
+        rc = main(["verify-eb", "--problem", thirty_row_problem, "--mode", mode,
+                   "--samples", "5"])
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["bound"] > 0
+
+
+def test_cli_practical_solve_reports_null_theta(thirty_row_problem, capsys):
+    rc = main(["solve", "--problem", thirty_row_problem, "--mode", "practical",
+               "--max-iters", "50"])
+    assert rc == 0
+    constants = json.loads(capsys.readouterr().out)["constants"]
+    assert constants["theta_bar"] is None and constants["sigma5_bar"] is None
+    assert constants["beta_max"] is None and constants["theta_exact"] is False
+    assert any("theta_bar not computed" in w for w in constants["warnings"])
+
+
+# ------------------------------------------------- malformed problem files
+
+def _small_problem():
+    return instance_to_dict(generate_nonconvex_qp(n=3, m=1, neg_eigs=1, rng_seed=2))
+
+
+def _with(**fields):
+    data = _small_problem()
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    [], "problem", None,
+    _with(n=None), _with(m=None), _with(offset=None), _with(L_f=None), _with(f_lower=None),
+    _with(meta=None), _with(polyhedron=None), _with(polyhedron="box"), _with(q=None),
+    _with(b=None), _with(Q="Q"), _with(A=[[1.0, 2.0, 3.0]]), _with(L_f=float("nan")),
+    {k: v for k, v in _small_problem().items() if k != "L_f"},
+])
+def test_cli_malformed_problem_exits_3(tmp_path, capsys, data):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    for command in ("solve", "constants"):
+        assert main([command, "--problem", str(path)]) == 3
+        assert "cannot load problem file" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_files_exit_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)   # beyond the JSON parser's recursion
+    assert main(["solve", "--problem", str(path)]) == 3
+    assert main(["verify-hoffman", "--system", str(path)]) == 3
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10 ** 400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=10) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+def _fields(data, prefix=()):
+    """Paths of every field, and of the first entries of every list."""
+    if isinstance(data, dict):
+        for k, v in data.items():
+            yield prefix + (k,)
+            yield from _fields(v, prefix + (k,))
+    elif isinstance(data, list):
+        for i in range(min(len(data), 2)):
+            yield prefix + (i,)
+
+
+@st.composite
+def _mutated(draw, base):
+    """base with one to three fields deleted or replaced by any JSON value,
+    or some other JSON value in its place."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json_values)
+    data = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_fields(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_json_values)
+    return data
+
+
+_BASE_PROBLEMS = (_small_problem(),
+                  instance_to_dict(make_general_instance(3, 1, 2, neg_eigs=1, seed=5)))
+_BASE_SYSTEM = {"n": 2, "C1": [1.0, 0.5, -0.3, 1.0], "b1": [1.0, 0.2], "C2": [0.7, 0.1],
+                "b2": [0.3], "theta": 4.0}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(*(_mutated(b) for b in _BASE_PROBLEMS)))
+def test_cli_fuzzed_problem_files_map_to_exit_codes(tmp_path, data):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    for argv in (["solve", "--max-iters", "20"], ["constants"]):
+        assert _run(argv + ["--problem", str(path)]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated(_BASE_SYSTEM))
+def test_cli_fuzzed_system_files_map_to_exit_codes(tmp_path, data):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert _run(["verify-hoffman", "--system", str(path), "--points", "5"]) in (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sproxalm import constants
 from sproxalm.constants import (build_hoffman_matrix, hoffman_constant,
                                 hoffman_theta_exact, hoffman_theta_sampled,
                                 plan_stepsizes, spectral_norm)
@@ -182,3 +184,48 @@ def test_b1_b2_formulas():
     assert rep.B1 == pytest.approx(B1, rel=1e-12)
     B2 = ((rep.L_f + rep.p + rep.rho * s ** 2 + 2 / c) + rep.rho * s * np.sqrt(B1) + rep.p) ** 2
     assert rep.B2 == pytest.approx(B2, rel=1e-12)
+
+
+# ------------------------------------------------ theta in practical plans
+
+def _thirty_row_box_instance():
+    return generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=0)   # M has 10 + 20 rows
+
+
+def test_practical_plan_above_exact_limit_draws_no_samples(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a practical plan must not sample theta")
+
+    monkeypatch.setattr(constants, "hoffman_theta_sampled", no_sampling)
+    params, rep = plan_stepsizes(_thirty_row_box_instance(), "practical", exact_limit=20)
+    assert rep.theta_bar is None and rep.sigma5_bar is None and rep.beta_max is None
+    assert rep.theta_exact is False
+    assert any("theta_bar not computed" in w for w in rep.warnings)
+    assert any("no theoretical guarantee" in w for w in rep.warnings)
+    d = rep.to_dict()
+    assert d["theta_bar"] is None and d["sigma5_bar"] is None and d["beta_max"] is None
+
+    exact_params, exact_rep = plan_stepsizes(_thirty_row_box_instance(), "practical",
+                                             exact_limit=30)
+    assert exact_rep.theta_exact and exact_rep.theta_bar > 0
+    assert not any("theta_bar not computed" in w for w in exact_rep.warnings)
+    assert dataclasses.asdict(params) == dataclasses.asdict(exact_params)
+
+
+def _old_rank_and_tol(M):
+    """Reference: the rank by ``np.linalg.matrix_rank`` and the floor from a
+    separate SVD of M."""
+    smax = float(np.linalg.svd(M, compute_uv=False)[0])
+    return (int(np.linalg.matrix_rank(M)),
+            max(M.shape) * np.finfo(float).eps * max(smax, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 12), cols=st.integers(1, 12),
+       rank_cut=st.integers(0, 12), scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e4]))
+def test_rank_and_tol_from_one_svd_match_matrix_rank(seed, rows, cols, rank_cut, scale):
+    rng = np.random.default_rng(seed)
+    M = scale * rng.standard_normal((rows, cols))
+    if rank_cut < min(rows, cols):   # rank-deficient
+        M = M[:, :rank_cut] @ rng.standard_normal((rank_cut, cols)) if rank_cut else 0 * M
+    assert constants._rank_and_tol(M) == _old_rank_and_tol(M)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sproxalm.constants import SolverParams, plan_stepsizes
 from sproxalm.exceptions import ConvergenceError, DivergenceError
@@ -9,9 +10,9 @@ from sproxalm.oracles import solve_constrained_qp_oracle
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d, generate_nonconvex_qp)
 from sproxalm.projection import StronglyConvexQP
-from sproxalm.solvers import (IterateState, ProxSolution, Trace, alm_run, inner_minimize_K,
-                              solve_constrained_strongly_convex, sprox_alm_run,
-                              sprox_alm_step)
+from sproxalm.solvers import (IterateState, ProxSolution, Trace, _norm, alm_run,
+                              inner_minimize_K, solve_constrained_strongly_convex,
+                              sprox_alm_run, sprox_alm_step)
 from tests.conftest import make_box_instance, make_general_instance
 
 PARAMS_1D = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.05, beta=0.03)
@@ -154,6 +155,21 @@ def test_alm_unbounded_inner_problem_raises_divergence():
         alm_run(inst, params)
 
 
+def test_inner_divergence_carries_last_iterate_in_P():
+    inst = make_general_instance(6, 2, 4, neg_eigs=2, seed=63)
+    params, _ = plan_stepsizes(inst, "practical")
+    params.target_eps = 1e-8
+    params.max_iters = 40
+    with pytest.raises(DivergenceError, match="inner projected gradient") as info:
+        alm_run(inst, params)
+    x = info.value.state
+    assert isinstance(x, np.ndarray) and x.shape == (inst.n,)
+    assert np.all(np.isfinite(x)) and np.linalg.norm(x) <= 1e12
+    # in P up to the rounding of a point of norm near 1e12
+    G, h = inst.polyhedron.as_halfspaces()
+    assert np.max(G @ x - h) <= 1e-12 * np.linalg.norm(x)
+
+
 # -------------------------------------------------------------- sprox step
 
 def test_step_worked_example_exact():
@@ -285,3 +301,28 @@ def test_inner_minimize_iteration_cap_carries_best():
         inner_minimize_K(inst, np.ones(2), np.full(4, 0.3), params,
                          tol=1e-13, max_iters=3)
     assert err.value.best is not None and err.value.best.shape == (4,)
+
+
+# ------------------------------------------------------------- main loop
+
+@settings(max_examples=300, deadline=None)
+@given(v=hnp.arrays(np.float64, st.integers(0, 40),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_norm_equals_numpy_norm_bitwise(v):
+    assert _norm(v) == float(np.linalg.norm(v))
+
+
+def test_non_finite_gradient_names_its_iteration():
+    inst = fixed_instance_1d()
+    grad = inst.objective.grad
+    calls = []
+
+    def grad_nan_on_fourth_call(x):   # the start, then one call per iteration
+        calls.append(1)
+        return np.full_like(x, np.nan) if len(calls) == 4 else grad(x)
+
+    inst.objective.grad = grad_nan_on_fourth_call
+    params, _ = plan_stepsizes(inst, "practical")
+    params.target_eps = 0.0
+    with pytest.raises(FloatingPointError, match="non-finite gradient.* at iteration 3$"):
+        sprox_alm_run(inst, params, x0=np.array([0.9]))
