@@ -4,7 +4,7 @@ Lagrangian method, with fully computable theoretical step sizes."""
 
 from .bench import ExperimentConfig, RateFit, fit_rate, run_experiment
 from .constants import (ConstantsReport, SolverParams, hoffman_constant,
-                        plan_stepsizes, sigma5_from_theta, spectral_norm)
+                        plan_stepsizes, sigma5_from_theta)
 from .diagnostics import (StationarityReport, certificate_from_step,
                           certificate_minnorm, potential_value,
                           trace_segment_decomposition, verify_dual_error_bound,
@@ -22,7 +22,7 @@ __all__ = [
     "load_instance", "save_instance",
     "ProjectionResult", "project",
     "ConstantsReport", "SolverParams", "hoffman_constant", "plan_stepsizes",
-    "sigma5_from_theta", "spectral_norm",
+    "sigma5_from_theta",
     "IterateState", "SproxResult", "Trace", "alm_run", "inner_minimize_K",
     "solve_constrained_strongly_convex", "sprox_alm_run", "sprox_alm_step",
     "StationarityReport", "certificate_from_step", "certificate_minnorm",

@@ -12,6 +12,7 @@ from .solvers import MONITOR_COUNTERS, Trace, alm_run, sprox_alm_run
 
 ALGORITHMS = ("alm", "sprox")
 MODES = ("theoretical", "practical")
+BURN_IN = 100   # rate fits use the trace rows from iteration BURN_IN on
 
 
 @dataclass
@@ -49,8 +50,7 @@ class RateFit:
     intercept: float | None
     r_squared: float | None
     predicted_B: float
-    burn_in: int = 100
-    max_tB: float = 0.0   # max over t >= burn_in of t * eps(t)^2
+    max_tB: float = 0.0   # max over t >= BURN_IN of t * eps(t)^2
 
     def to_dict(self) -> dict:
         return {
@@ -58,13 +58,13 @@ class RateFit:
             "intercept": self.intercept,
             "r_squared": self.r_squared,
             "predicted_B": self.predicted_B,
-            "burn_in": self.burn_in,
+            "burn_in": BURN_IN,
             "max_tB": self.max_tB,
         }
 
 
-def fit_rate(trace: Trace, burn_in: int = 100) -> RateFit:
-    """Least-squares fit of log best-so-far epsilon against log t.
+def fit_rate(trace: Trace) -> RateFit:
+    """Least-squares fit of log best-so-far epsilon against log t >= BURN_IN.
 
     predicted_B is the median over the fit region of t * eps(t)^2 (the
     pointwise estimate of the envelope constant).  A trace that is
@@ -74,12 +74,11 @@ def fit_rate(trace: Trace, burn_in: int = 100) -> RateFit:
         raise ValueError("rate fitting needs at least 200 trace rows")
     eps = trace.best_so_far_eps()
     t = trace.column("t") + 1.0  # iteration indices are 0-based
-    mask = t >= burn_in
+    mask = t >= BURN_IN
     t, eps = t[mask], eps[mask]
     tB_all = t * eps ** 2
     if np.all(eps == 0.0):
-        return RateFit(slope=None, intercept=None, r_squared=None, predicted_B=0.0,
-                       burn_in=burn_in, max_tB=0.0)
+        return RateFit(slope=None, intercept=None, r_squared=None, predicted_B=0.0)
     pos = eps > 0.0
     lt, le = np.log(t[pos]), np.log(eps[pos])
     slope, intercept = np.polyfit(lt, le, 1)
@@ -88,8 +87,7 @@ def fit_rate(trace: Trace, burn_in: int = 100) -> RateFit:
     ss_tot = float(np.sum((le - np.mean(le)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                   predicted_B=float(np.median(tB_all)), burn_in=burn_in,
-                   max_tB=float(np.max(tB_all)))
+                   predicted_B=float(np.median(tB_all)), max_tB=float(np.max(tB_all)))
 
 
 def load_problem(cfg: ExperimentConfig) -> ProblemInstance:
@@ -121,8 +119,6 @@ def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -
         res = sprox_alm_run(inst, params)
         trace = res.trace
         best_eps = res.best.eps if res.best is not None else np.nan
-        final = trace.row(-1) if len(trace) else None
-        final_eps = final.eps if final is not None else np.nan
         monitors = res.monitor
         heuristic = False
         iters = res.state.t
@@ -130,13 +126,12 @@ def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -
         out = alm_run(inst, params, tol=max(cfg.target_eps, 1e-10),
                       max_outer=cfg.max_iters)
         trace = out.trace
-        final = trace.row(-1) if len(trace) else None
-        final_eps = final.eps if final is not None else np.nan
         best_eps = float(np.min(np.maximum(trace.column("eq_res"),
                                            trace.column("cert_norm")))) if len(trace) else np.nan
         monitors = dict.fromkeys(MONITOR_COUNTERS)
         heuristic = out.heuristic
         iters = out.state.t
+    final_eps = trace.row(-1).eps if len(trace) else np.nan
 
     if cfg.trace_path:
         trace.to_csv(cfg.trace_path)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ from .bench import ExperimentConfig, run_experiment
 from .constants import dual_error_bound_constant, hoffman_theta_exact, plan_stepsizes
 from .diagnostics import trace_segment_decomposition, verify_dual_error_bound, verify_hoffman
 from .exceptions import ConvergenceError, DivergenceError
-from .problem import generate_nonconvex_qp, load_instance, save_instance
+from .problem import generate_nonconvex_qp, load_instance, load_system, save_instance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,27 +95,10 @@ def cmd_verify_eb(args) -> int:
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED
 
 
-def _load_system(path):
-    """(C1, b1, C2, b2, theta) of a verify-hoffman system file; theta may be None."""
-    with open(path) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    C1 = np.asarray(data.get("C1", []), dtype=float).reshape(-1, n)
-    b1 = np.asarray(data.get("b1", []), dtype=float)
-    C2 = np.asarray(data.get("C2", []), dtype=float).reshape(-1, n)
-    b2 = np.asarray(data.get("b2", []), dtype=float)
-    theta = data.get("theta")
-    if theta is not None:
-        theta = float(theta)
-        if not (math.isfinite(theta) and theta > 0):
-            raise ValueError(f"theta must be positive and finite (got {theta})")
-    return C1, b1, C2, b2, theta
-
-
 def cmd_verify_hoffman(args) -> int:
     try:
-        C1, b1, C2, b2, theta = _load_system(args.system)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        C1, b1, C2, b2, theta = load_system(args.system)
+    except (OSError, ValueError, RecursionError) as exc:   # RecursionError: deep nesting
         print(f"error: cannot load system file {args.system!r}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

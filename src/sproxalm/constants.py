@@ -25,35 +25,8 @@ from .problem import ProblemInstance
 
 _EPS = np.finfo(float).eps
 _MAX_EXACT_SUBSETS = 20_000_000
-
-
-def spectral_norm(M) -> float:
-    """Largest singular value, to 1e-10 relative accuracy.
-
-    Uses full SVD up to side 64, deterministic power iteration beyond.
-    """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        raise ValueError("spectral_norm of an empty matrix is undefined")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    if min(M.shape) <= 64:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    B = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    v = np.ones(B.shape[0]) / np.sqrt(B.shape[0])
-    lam = 0.0
-    for _ in range(100_000):
-        w = B @ v
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= 1e-12 * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+_EXACT_CHUNK = 20_000     # row subsets per batched SVD
+_SAMPLED_CHUNK = 5_000
 
 
 def build_hoffman_matrix(A, G) -> np.ndarray:
@@ -90,7 +63,7 @@ def _theta_from_singular_values(sv, tol):
     return float(np.max(smax[valid] ** 2 / smin[valid] ** 4))
 
 
-def hoffman_theta_exact(M, chunk: int = 20_000) -> float:
+def hoffman_theta_exact(M) -> float:
     """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows = M.shape[0]
@@ -106,7 +79,7 @@ def hoffman_theta_exact(M, chunk: int = 20_000) -> float:
     combos = combinations(range(rows), r)
     while True:
         block = []
-        for _ in range(chunk):
+        for _ in range(_EXACT_CHUNK):
             c = next(combos, None)
             if c is None:
                 break
@@ -183,8 +156,7 @@ def hoffman_theta_exact_box(A, tol: float) -> float:
     return best
 
 
-def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator,
-                          chunk: int = 5_000) -> float:
+def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator) -> float:
     """Lower-bound estimate of theta from random rank(M)-row submatrices."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows = M.shape[0]
@@ -194,7 +166,7 @@ def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator,
     best = 0.0
     done = 0
     while done < n_samples:
-        b = min(chunk, n_samples - done)
+        b = min(_SAMPLED_CHUNK, n_samples - done)
         keys = rng.random((b, rows))
         idx = np.argsort(keys, axis=1)[:, :r]
         sv = np.linalg.svd(M[idx], compute_uv=False)
@@ -319,7 +291,8 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
     min(1/30, 0.01), which carries no convergence guarantee and is
     flagged as such; it computes theta_bar only when it is exact (at
     most ``exact_limit`` rows of M), and otherwise reports theta_bar,
-    sigma5_bar and beta_max as None with a warning.  Overrides replace
+    sigma5_bar and beta_max as None with a warning.  A beta below
+    machine epsilon is reported with a warning too.  Overrides replace
     individual values; in theoretical mode they are validated against
     the strict bounds.
     """
@@ -386,6 +359,11 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
                 "sampled lower bound that certifies nothing is available, and the "
                 "practical beta does not use theta"
             )
+    if beta < _EPS:
+        warnings.append(
+            f"beta = {beta:.3g} is below machine epsilon: each step moves the anchor z by "
+            "less than roundoff, so the run is a proximal-point scheme around a fixed anchor"
+        )
 
     sigma1 = c * gamma_K
     sigma2 = sigma1 / (1.0 + sigma1)

@@ -23,7 +23,7 @@ from .constants import SolverParams, sigma5_from_theta
 from .exceptions import (ConvergenceError, DegenerateActiveSetError,
                          InfeasibleError, StepMismatchError)
 from .oracles import project_polyhedron_exact, solve_qp_active_set
-from .problem import Box, Halfspaces, ProblemInstance, QuadraticObjective
+from .problem import ProblemInstance, QuadraticObjective
 from .projection import StronglyConvexQP
 from .solvers import (IterateState, K_value, _smoothed_step, inner_minimize_K, prox_qp,
                       solve_constrained_strongly_convex)
@@ -39,13 +39,13 @@ class StationarityReport:
 
 
 def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateState,
-                          z_prev, params: SolverParams,
-                          check_tol: float = 1e-8) -> StationarityReport:
+                          z_prev, params: SolverParams) -> StationarityReport:
     """Certificate of (x^{t+1}, y^{t+1}) reconstructed from one solver step.
 
     Replays the step from x_prev with the solver's own kernel, verifies
-    that state_next.x is its projected-gradient image (raises
-    StepMismatchError otherwise), and returns the step's certificate.
+    that state_next.x is its projected-gradient image to 1e-8 (1 + ||x||)
+    (raises StepMismatchError otherwise), and returns the step's
+    certificate.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     z_prev = np.asarray(z_prev, dtype=float)
@@ -53,7 +53,7 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
     x1, _z1, _gx1, r1, v = _smoothed_step(inst, params, x_prev, state_next.y, z_prev,
                                           inst.grad_f(x_prev), r)
     scale = 1.0 + float(np.linalg.norm(state_next.x))
-    if float(np.linalg.norm(x1 - state_next.x)) > check_tol * scale:
+    if float(np.linalg.norm(x1 - state_next.x)) > 1e-8 * scale:
         raise StepMismatchError("state_next is not the projected step from x_prev")
     eq = float(np.linalg.norm(r1))
     cn = float(np.linalg.norm(v))
@@ -61,52 +61,27 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
                               epsilon=max(eq, cn), method="proof-certificate")
 
 
-def _active_normals(inst: ProblemInstance, x, active_tol: float):
-    """Outward normals of the near-active rows of P at x (box or halfspaces)."""
-    P = inst.polyhedron
-    n = inst.n
-    if isinstance(P, Box):
-        finite = np.concatenate([P.hi[np.isfinite(P.hi)], P.lo[np.isfinite(P.lo)]])
-        scale = 1.0 + float(np.max(np.abs(finite), initial=0.0))
-        tol = active_tol * scale
-        cols = []
-        for i in range(n):
-            if np.isfinite(P.hi[i]) and x[i] >= P.hi[i] - tol:
-                e = np.zeros(n)
-                e[i] = 1.0
-                cols.append(e)
-            if np.isfinite(P.lo[i]) and x[i] <= P.lo[i] + tol:
-                e = np.zeros(n)
-                e[i] = -1.0
-                cols.append(e)
-        return np.array(cols).T if cols else np.zeros((n, 0))
-    scale = 1.0 + float(np.max(np.abs(P.h), initial=0.0))
-    act = np.flatnonzero(P.G @ x - P.h >= -active_tol * scale)
-    return P.G[act].T
-
-
-def certificate_minnorm(inst: ProblemInstance, x, y,
-                        active_tol: float | None = None) -> StationarityReport:
+def certificate_minnorm(inst: ProblemInstance, x, y) -> StationarityReport:
     """Minimum-norm certificate via nonnegative least squares on the
-    normals of near-active constraints; exact when P = R^n.
+    outward normals of the near-active rows of P = {Gx <= h}; exact when
+    P = R^n.
 
+    With s = 1 + max|h| and active_tol = 1e-7 s, x must lie in P within
+    active_tol, and a row is near-active when (Gx - h)_j >= -active_tol s.
     Nearly-active rows are included in the candidate set (inclusion can
-    only lower the min-norm value).  Requires x in P within active_tol.
+    only lower the min-norm value).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     P = inst.polyhedron
-    if active_tol is None:
-        if isinstance(P, Halfspaces):
-            active_tol = 1e-7 * (1.0 + float(np.max(np.abs(P.h), initial=0.0)))
-        else:
-            finite = np.concatenate([P.hi[np.isfinite(P.hi)], P.lo[np.isfinite(P.lo)]])
-            active_tol = 1e-7 * (1.0 + float(np.max(np.abs(finite), initial=0.0)))
+    G, h = P.as_halfspaces()
+    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
+    active_tol = 1e-7 * scale
     if not P.contains(x, tol=active_tol):
         raise ValueError("x lies outside P beyond active_tol")
 
     g0 = inst.grad_f(x) + inst.eq_matrix.T @ y
-    N = _active_normals(inst, x, active_tol)
+    N = G[G @ x - h >= -active_tol * scale].T
     if N.shape[1] == 0:
         v = g0
     else:
@@ -144,11 +119,9 @@ class MonitorContext:
     of the last checked state t+1, and the constants of the descent
     inequality."""
 
-    def __init__(self, inst: ProblemInstance, params: SolverParams,
-                 inner_tol: float = 1e-10):
+    def __init__(self, inst: ProblemInstance, params: SolverParams):
         self.inst = inst
         self.params = params
-        self.inner_tol = inner_tol
         self._warm: dict = {"prox_qp": prox_qp(inst, params.p)}
         self._last = None   # (state, phi) of the last check's state t+1
         assert_lb = inst.lower_bound is not None and inst.lower_bound_kind in (
@@ -167,13 +140,11 @@ class MonitorContext:
                                     for k in "xyz"):
             phi_t = last[1]
         else:
-            phi_t, _ = potential_value(inst, state_t, params, tol=self.inner_tol,
-                                       _warm=self._warm)
-        phi_t1, _ = potential_value(inst, state_t1, params, tol=self.inner_tol,
-                                    _warm=self._warm)
+            phi_t, _ = potential_value(inst, state_t, params, _warm=self._warm)
+        phi_t1, _ = potential_value(inst, state_t1, params, _warm=self._warm)
         self._last = (state_t1.copy(), phi_t1)
         x_step = inner_minimize_K(inst, state_t1.y, state_t.z, params,
-                                  tol=self.inner_tol, x0=self._warm.get("x_inner"))
+                                  x0=self._warm.get("x_inner"))
         eq_inner = float(np.linalg.norm(inst.eq_matrix @ x_step - inst.eq_rhs))
         if dx_norm is None:
             dx_norm = float(np.linalg.norm(state_t1.x - state_t.x))
@@ -285,8 +256,8 @@ class ErrorBoundReport:
 
 
 def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
-                            n_samples: int, rng_seed: int, sigma5_bar: float,
-                            tol: float = 1e-10) -> ErrorBoundReport:
+                            n_samples: int, rng_seed: int,
+                            sigma5_bar: float) -> ErrorBoundReport:
     """Sampled check of ||x(y,z) - xbar*(z)|| <= sigma5_bar ||A x(y,z) - b||.
 
     y and z are scaled Gaussian draws (z around a feasible anchor); the
@@ -294,8 +265,8 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
     distance below 1e-9 (consistency of the zero-residual case).
     xbar*(z) is solved exactly, with one factorisation for all samples.  A
     sample whose inner solve hits its iteration cap, or whose xbar*(z)
-    misses Ax = b by more than tol, is skipped; more than 10% skipped
-    samples raises RuntimeError.
+    misses Ax = b by more than 1e-10 (1 + ||b||), is skipped; more than
+    10% skipped samples raises RuntimeError.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
@@ -315,8 +286,8 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
         y = scale_y * rng.standard_normal(inst.m)
         z = anchor + scale_z * rng.standard_normal(inst.n)
         try:
-            xi = inner_minimize_K(inst, y, z, params, tol=tol)
-            prox = solve_constrained_strongly_convex(inst, z, params, tol=tol, qp=qp)
+            xi = inner_minimize_K(inst, y, z, params)
+            prox = solve_constrained_strongly_convex(inst, z, params, qp=qp)
         except ConvergenceError as exc:
             skipped += 1
             logger.warning("error-bound sample skipped: %s", exc)
@@ -440,8 +411,6 @@ class SegmentTrace:
 
 def _quadratic_parts(inst: ProblemInstance):
     obj = inst.objective
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("segment tracing requires a quadratic objective")
     H = 0.5 * (obj.Q + obj.Q.T)
     return H, obj.q
 
@@ -468,23 +437,15 @@ def regularized_quadratic_instance(inst: ProblemInstance, params: SolverParams,
     )
 
 
-def _exact_point(H, c, A, b, G, h, r, warm):
-    """x*(r): exact minimizer of the strongly convex quadratic subject to
-    Ax - b = r and Gx <= h."""
-    sol = solve_qp_active_set(H, c, A, b + r, G, h, try_first=warm)
-    return sol
-
-
 def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
-                                grid_size: int = 1001,
-                                refine_tol: float = 1e-8) -> SegmentTrace:
+                                grid_size: int = 1001) -> SegmentTrace:
     """Walk the residual segment {s * r_tilde : s in [0, 1]} of a strongly
     convex quadratic instance and certify its piecewise structure.
 
     r_tilde = A x(y_tilde) - b where x(y_tilde) minimizes the Lagrangian
     over P.  Every grid point is solved exactly by active-set
     enumeration; breakpoints (active-set changes) are localized by
-    bisection to ``refine_tol``; adjacent grid points sharing an active
+    bisection to 1e-8; adjacent grid points sharing an active
     set are checked against the per-segment Lipschitz bound with
     sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma.
     """
@@ -510,7 +471,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
 
     def solve_at(s, warm=None):
         try:
-            sol = _exact_point(H, q, A, b, G, h, s * r_tilde, warm)
+            sol = solve_qp_active_set(H, q, A, b + s * r_tilde, G, h, try_first=warm)
         except InfeasibleError as exc:
             raise DegenerateActiveSetError(
                 f"no valid active set at s={s}", grid_point=s) from exc
@@ -531,7 +492,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
         if a.active == bpt.active:
             continue
         lo_s, hi_s = a.s, bpt.s
-        while hi_s - lo_s > refine_tol:
+        while hi_s - lo_s > 1e-8:
             mid = 0.5 * (lo_s + hi_s)
             mid_pt = solve_at(mid, tuple(sorted(a.active)))
             if mid_pt.active == a.active:
@@ -569,7 +530,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
 
 
 def multiplier_set_distance(g_inst: ProblemInstance, point_y, point_mu, r,
-                            x_star, active, tol: float = 1e-9) -> float:
+                            x_star, active) -> float:
     """Distance from (y', mu') to the multiplier set of the r-shifted
     problem at its solution x*(r), solved as an exact projection.
 
@@ -596,5 +557,5 @@ def multiplier_set_distance(g_inst: ProblemInstance, point_y, point_mu, r,
         C1[i, m + j] = -1.0  # -mu_j <= 0
     b1 = np.zeros(len(active))
     w = np.concatenate([point_y, point_mu])
-    _, dist = project_polyhedron_exact(C1, b1, C2, b2, w, tol=tol)
+    _, dist = project_polyhedron_exact(C1, b1, C2, b2, w)
     return dist

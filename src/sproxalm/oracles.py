@@ -14,7 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from .exceptions import InfeasibleError
-from .problem import Box, ProblemInstance, QuadraticObjective
+from .problem import Box, ProblemInstance
+
+_TOL = 1e-9   # feasibility, multiplier-sign and KKT-residual tolerance of the oracles
 
 
 @dataclass
@@ -27,8 +29,7 @@ class ExactQpSolution:
     value: float
 
 
-def solve_qp_active_set(H, c, A, b, G, h, tol: float = 1e-9,
-                        try_first=None) -> ExactQpSolution:
+def solve_qp_active_set(H, c, A, b, G, h, try_first=None) -> ExactQpSolution:
     """Exact minimizer of 0.5 x'Hx + c'x over {Ax = b, Gx <= h}, H positive definite.
 
     Enumerates active subsets of the inequality rows, solving each
@@ -64,18 +65,19 @@ def solve_qp_active_set(H, c, A, b, G, h, tol: float = 1e-9,
         # a singular KKT matrix that LU factors through roundoff gives a huge,
         # inconsistent solution, e.g. for the opposite rows of a box coordinate
         if not np.all(np.isfinite(sol)) or \
-                np.linalg.norm(KKT @ sol - rhs) > tol * (1.0 + np.linalg.norm(rhs)):
+                np.linalg.norm(KKT @ sol - rhs) > _TOL * (1.0 + np.linalg.norm(rhs)):
             return None
         x = sol[:n]
         y = sol[n:n + m]
         muS = sol[n + m:]
-        if l and np.any(G @ x - h > tol * h_scale):
+        if l and np.any(G @ x - h > _TOL * h_scale):
             return None
-        if np.any(muS < -tol):
+        if np.any(muS < -_TOL):
             return None
         mu = np.zeros(l)
         mu[S] = np.maximum(muS, 0.0)
-        geo = frozenset(np.flatnonzero(G @ x - h >= -tol * h_scale).tolist()) if l else frozenset()
+        geo = (frozenset(np.flatnonzero(G @ x - h >= -_TOL * h_scale).tolist()) if l
+               else frozenset())
         val = 0.5 * float(x @ (H @ x)) + float(c @ x)
         return ExactQpSolution(x=x, y=y, mu=mu, active=frozenset(S),
                                geometry_active=geo, value=val)
@@ -96,7 +98,7 @@ def solve_qp_active_set(H, c, A, b, G, h, tol: float = 1e-9,
     raise InfeasibleError("no active set yields a feasible KKT point; system may be infeasible")
 
 
-def project_polyhedron_exact(C1, b1, C2, b2, point, tol: float = 1e-9):
+def project_polyhedron_exact(C1, b1, C2, b2, point):
     """Exact Euclidean projection onto {C1 x <= b1, C2 x = b2} via enumeration.
 
     Returns (projection, distance).  Raises InfeasibleError when the set
@@ -104,28 +106,23 @@ def project_polyhedron_exact(C1, b1, C2, b2, point, tol: float = 1e-9):
     """
     point = np.asarray(point, dtype=float)
     n = point.shape[0]
-    sol = solve_qp_active_set(np.eye(n), -point, C2, b2, C1, b1, tol=tol)
+    sol = solve_qp_active_set(np.eye(n), -point, C2, b2, C1, b1)
     return sol.x, float(np.linalg.norm(sol.x - point))
 
 
-def solve_constrained_qp_oracle(inst: ProblemInstance, z, p: float,
-                                tol: float = 1e-9) -> ExactQpSolution:
+def solve_constrained_qp_oracle(inst: ProblemInstance, z, p: float) -> ExactQpSolution:
     """Exact solution of min f(x) + (p/2)||x-z||^2 over {Ax=b, x in P}.
 
-    Requires a quadratic objective with Q + pI positive definite.
+    Requires Q + pI positive definite.
     """
     obj = inst.objective
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("oracle requires a quadratic objective")
     z = np.asarray(z, dtype=float)
-    H = obj.Q + p * np.eye(inst.n)
-    c = obj.q - p * z
     G, h = inst.polyhedron.as_halfspaces()
-    sol = solve_qp_active_set(H, c, inst.eq_matrix, inst.eq_rhs, G, h, tol=tol)
-    return sol
+    return solve_qp_active_set(obj.Q + p * np.eye(inst.n), obj.q - p * z, inst.eq_matrix,
+                               inst.eq_rhs, G, h)
 
 
-def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singular: bool):
+def _box_faces(inst: ProblemInstance, bound_tol: float, skip_singular: bool):
     """Clipped stationary points of the box faces, in face order.
 
     A face sets each coordinate free, at lo or at hi (digits 0, 1, 2),
@@ -138,7 +135,7 @@ def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singula
     face is kept when its KKT residual is within 1e-8 (relative), its
     free coordinates within ``bound_tol`` of the box, and its clipped
     point satisfies Ax = b to 1e-8 (relative); a vertex, when it
-    satisfies Ax = b to ``tol``.  Faces that fix a coordinate at an
+    satisfies Ax = b to 1e-9 (relative).  Faces that fix a coordinate at an
     infinite bound are left out.
 
     Returns (digits, X, Y): one row per kept face, its digits, its point
@@ -165,7 +162,7 @@ def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singula
         if k == 0:
             if m and skip_singular:  # a vertex's KKT matrix is the m x m zero block
                 continue
-            keep = np.linalg.norm(X @ A.T - b, axis=1) <= tol * b_scale
+            keep = np.linalg.norm(X @ A.T - b, axis=1) <= _TOL * b_scale
             Y = np.zeros((X.shape[0], m))
         else:
             QF, AF = Q[F], A[:, F]
@@ -204,7 +201,7 @@ def _box_faces(inst: ProblemInstance, tol: float, bound_tol: float, skip_singula
     return digits[order], np.concatenate(kept_x)[order], np.concatenate(kept_y)[order]
 
 
-def exact_lower_bound_box_qp(inst: ProblemInstance, tol: float = 1e-9):
+def exact_lower_bound_box_qp(inst: ProblemInstance):
     """Exact global minimum of an indefinite quadratic over {x in box : Ax = b}.
 
     The global minimum over the compact feasible set is attained at a
@@ -216,13 +213,11 @@ def exact_lower_bound_box_qp(inst: ProblemInstance, tol: float = 1e-9):
     (0 free, 1 at lo, 2 at hi).  Returns (value, argmin).
     """
     obj = inst.objective
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("oracle requires a quadratic objective")
     P = inst.polyhedron
     if not isinstance(P, Box) or not P.is_finite():
         raise TypeError("oracle requires a finite box polyhedron")
     span = 1.0 + float(np.max(P.hi - P.lo))
-    _digits, X, _Y = _box_faces(inst, tol, tol * span, skip_singular=False)
+    _digits, X, _Y = _box_faces(inst, _TOL * span, skip_singular=False)
     if not len(X):
         raise InfeasibleError("no feasible face found; feasible set appears empty")
     vals = 0.5 * np.einsum("ij,ij->i", X @ obj.Q.T, X) + X @ obj.q
@@ -230,7 +225,7 @@ def exact_lower_bound_box_qp(inst: ProblemInstance, tol: float = 1e-9):
     return obj.value(x), x
 
 
-def enumerate_kkt_points(inst: ProblemInstance, tol: float = 1e-9):
+def enumerate_kkt_points(inst: ProblemInstance):
     """All KKT points of a quadratic instance over a box with Ax = b.
 
     Enumerates box faces in ``itertools.product((0, 1, 2), repeat=n)``
@@ -239,15 +234,13 @@ def enumerate_kkt_points(inst: ProblemInstance, tol: float = 1e-9):
     (sign-checked).  Used as a stationarity oracle at desk scale.
     """
     obj = inst.objective
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("oracle requires a quadratic objective")
     if not isinstance(inst.polyhedron, Box):
         raise TypeError("oracle requires a box polyhedron")
-    digits, X, Y = _box_faces(inst, tol, tol, skip_singular=True)
+    digits, X, Y = _box_faces(inst, _TOL, skip_singular=True)
     # bound multipliers from stationarity on the fixed coordinates:
     # grad f + A'y + mu_hi - mu_lo = 0 componentwise
     g = X @ obj.Q.T + obj.q + Y @ inst.eq_matrix
     at_lo, at_hi = digits == 1, digits == 2
-    ok = ~np.any((at_lo & (g < -tol)) | (at_hi & (g > tol)), axis=1)
+    ok = ~np.any((at_lo & (g < -_TOL)) | (at_hi & (g > _TOL)), axis=1)
     mu = np.where(at_lo, g, 0.0) - np.where(at_hi, g, 0.0)
     return [(X[i], Y[i], mu[i]) for i in np.flatnonzero(ok)]

@@ -46,12 +46,6 @@ class QuadraticObjective:
     def grad(self, x):
         return self.Q @ x + self.q
 
-    def tight_lipschitz(self) -> float:
-        """Spectral norm of Q (the exact Lipschitz constant of the gradient)."""
-        if self.Q.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.Q, compute_uv=False)[0])
-
 
 @dataclass
 class Box:
@@ -182,15 +176,14 @@ class ProblemInstance:
             raise DimensionMismatchError(
                 f"polyhedron dimension {self.polyhedron.dim} does not match n={n}"
             )
-        if isinstance(self.objective, QuadraticObjective):
-            if self.objective.Q.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"Q is {self.objective.Q.shape}, expected {(n, n)}"
-                )
-            if self.objective.q.shape[0] != n:
-                raise DimensionMismatchError(
-                    f"q has length {self.objective.q.shape[0]}, expected {n}"
-                )
+        if self.objective.Q.shape != (n, n):
+            raise DimensionMismatchError(
+                f"Q is {self.objective.Q.shape}, expected {(n, n)}"
+            )
+        if self.objective.q.shape[0] != n:
+            raise DimensionMismatchError(
+                f"q has length {self.objective.q.shape[0]}, expected {n}"
+            )
 
 
 @dataclass
@@ -389,21 +382,15 @@ def fixed_instance_1d() -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
-    if not isinstance(inst.objective, QuadraticObjective):
-        raise TypeError("only quadratic objectives are serializable")
-    n, m = inst.n, inst.m
     P = inst.polyhedron
     if isinstance(P, Box):
-        G, _ = P.as_halfspaces()
         poly = {"type": "box", "lo": P.lo.tolist(), "hi": P.hi.tolist()}
-        l = G.shape[0]
     else:
         poly = {"type": "general", "G": P.G.ravel().tolist(), "h": P.h.tolist()}
-        l = P.G.shape[0]
     out = {
-        "n": n,
-        "m": m,
-        "l": l,
+        "n": inst.n,
+        "m": inst.m,
+        "l": P.as_halfspaces()[0].shape[0],
         "Q": inst.objective.Q.ravel().tolist(),
         "q": inst.objective.q.tolist(),
         "offset": inst.objective.offset,
@@ -516,3 +503,32 @@ def save_instance(inst: ProblemInstance, path) -> None:
 def load_instance(path) -> ProblemInstance:
     with open(path) as fh:
         return instance_from_dict(json.load(fh))
+
+
+def load_system(path):
+    """(C1, b1, C2, b2, theta) of a system file: the JSON object
+    {n, C1, b1, C2, b2, theta?} of the set {C1 x <= b1, C2 x = b2}, with
+    C1 and C2 flat row-major lists of n columns.  An absent matrix and
+    its right-hand side have no rows; an absent or null theta is None.
+
+    Malformed data (not an object, a missing or ill-typed field,
+    non-finite numbers, row counts that differ, a theta that is not
+    positive) raises ValueError."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a system file holds one JSON object")
+    n = _json_number(data, "n", integer=True)
+    if n == 0:
+        raise ValueError("'n' must be positive")
+    data = {"C1": [], "b1": [], "C2": [], "b2": [], **data}
+    C1 = _json_array(data, "C1", (-1, n))
+    C2 = _json_array(data, "C2", (-1, n))
+    b1 = _json_array(data, "b1", (C1.shape[0],))
+    b2 = _json_array(data, "b2", (C2.shape[0],))
+    theta = None
+    if data.get("theta") is not None:
+        theta = _json_number(data, "theta")
+        if not theta > 0:
+            raise ValueError(f"'theta' must be positive (got {theta})")
+    return C1, b1, C2, b2, theta

@@ -19,7 +19,6 @@ exponential-averaging update of z.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -105,27 +104,23 @@ class Trace:
         return np.minimum.accumulate(eps)
 
     def to_csv(self, path) -> None:
+        """Comma-separated rows ending in CRLF under a header of COLUMNS:
+        t as an integer, floats by their shortest round-trip repr, and an
+        empty field for a NaN phi or phi_ok (an unmonitored row)."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.COLUMNS)
-            for i in range(self._n):
-                t, f, eq, cert, dx, dz, phi, ok = self._data[i]
-                phi_s = "" if np.isnan(phi) else repr(float(phi))
-                ok_s = "" if np.isnan(ok) else str(int(ok))
-                w.writerow([int(t), repr(float(f)), repr(float(eq)), repr(float(cert)),
-                            repr(float(dx)), repr(float(dz)), phi_s, ok_s])
+            fh.write(",".join(self.COLUMNS) + "\r\n")
+            for row in self._data[: self._n]:   # row by row: no copy of the whole trace
+                t, f, eq, cert, dx, dz, phi, ok = row.tolist()
+                phi_s = "" if math.isnan(phi) else repr(phi)
+                ok_s = "" if math.isnan(ok) else int(ok)
+                fh.write(f"{int(t)},{f!r},{eq!r},{cert!r},{dx!r},{dz!r},{phi_s},{ok_s}\r\n")
 
     @classmethod
-    def from_arrays(cls, t, eq_res, cert_norm, f=None, dx=None, dz=None) -> "Trace":
-        t = np.asarray(t)
-        n = len(t)
-        tr = cls(capacity=n)
-        zeros = np.zeros(n)
-        f = zeros if f is None else np.asarray(f)
-        dx = zeros if dx is None else np.asarray(dx)
-        dz = zeros if dz is None else np.asarray(dz)
-        for i in range(n):
-            tr.append(t[i], f[i], eq_res[i], cert_norm[i], dx[i], dz[i])
+    def from_arrays(cls, t, eq_res, cert_norm) -> "Trace":
+        """A trace of the given t, eq_res and cert_norm columns; f, dx and dz are 0."""
+        tr = cls(capacity=len(t))
+        for i in range(len(t)):
+            tr.append(t[i], 0.0, eq_res[i], cert_norm[i], 0.0, 0.0)
         return tr
 
 
@@ -371,11 +366,11 @@ class SproxResult:
     monitor: dict
 
 
-def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
-                  x0=None, y0=None, z0=None) -> SproxResult:
+def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> SproxResult:
     """Run the smoothed proximal augmented Lagrangian method.
 
-    Defaults: x0 = projection of the origin onto P, z0 = x0, y0 = 0.
+    Starts from x = the projection of x0 (default: the origin) onto P,
+    the anchor z = x, and y = 0.
     Stops at max_iters or when max(||v||, ||Ax-b||) for the current pair
     reaches target_eps.  The best pair seen (smallest max of the two
     residuals) is returned alongside the final state; with
@@ -384,8 +379,8 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams,
     the monitor dict.
     """
     x = _proj(inst.polyhedron, np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
-    y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
+    z = x.copy()
+    y = np.zeros(inst.m)
 
     monitor = dict.fromkeys(MONITOR_COUNTERS, 0)
     mon_ctx = None

@@ -184,6 +184,15 @@ def test_cli_verify_hoffman(tmp_path, capsys):
 @pytest.mark.parametrize("system", [
     {"C1": [1.0], "b1": [1.0]},                    # no n
     {"n": 2, "C1": [1.0, 2.0, 3.0], "b1": [1.0]},  # three entries make no rows of two
+    {"n": 2, "C1": [1.0, 0.0], "b1": [1.0, 2.0]},  # two right-hand sides for one row
+    {"n": 2, "C2": [1.0, 0.0, 0.0, 1.0], "b2": [1.0]},
+    {"n": 2, "C1": [float("nan"), 0.0], "b1": [1.0]},
+    {"n": 2, "C2": [1.0, 0.0], "b2": [float("nan")]},
+    {"n": 2.5, "C1": [1.0, 0.0], "b1": [1.0]},
+    {"n": True, "C1": [1.0], "b1": [1.0]},
+    {"n": 0, "C1": [], "b1": []},
+    {"n": 1, "C1": [1.0], "b1": [1.0], "theta": 0.0},
+    [1.0, 2.0],
 ])
 def test_cli_verify_hoffman_malformed_system_exits_3(tmp_path, capsys, system):
     path = tmp_path / "sys.json"

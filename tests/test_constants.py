@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sproxalm import constants
 from sproxalm.constants import (build_hoffman_matrix, hoffman_constant,
                                 hoffman_theta_exact, hoffman_theta_sampled,
-                                plan_stepsizes, spectral_norm)
+                                plan_stepsizes)
 from sproxalm.problem import fixed_instance_1d, generate_nonconvex_qp
 
 
@@ -26,32 +26,6 @@ def theta_all_subsets_oracle(M, tol=None):
             if len(sv) == k and sv[-1] > tol:
                 best = max(best, sv[0] ** 2 / sv[-1] ** 4)
     return best
-
-
-# ---------------------------------------------------------------- spectral
-
-def test_spectral_norm_examples():
-    assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, rel=1e-12)
-    assert spectral_norm(np.eye(3)) == pytest.approx(1.0, rel=1e-12)
-    assert spectral_norm(np.zeros((2, 2))) == 0.0
-    with pytest.raises(ValueError):
-        spectral_norm(np.zeros((0, 3)))
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_spectral_norm_matches_svd_oracle(seed):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 8))))
-    assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
-                                             rel=1e-10)
-
-
-def test_spectral_norm_power_iteration_path():
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((70, 80))
-    assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
-                                             rel=1e-8)
 
 
 # ----------------------------------------------------------------- hoffman
@@ -184,6 +158,20 @@ def test_b1_b2_formulas():
     assert rep.B1 == pytest.approx(B1, rel=1e-12)
     B2 = ((rep.L_f + rep.p + rep.rho * s ** 2 + 2 / c) + rep.rho * s * np.sqrt(B1) + rep.p) ** 2
     assert rep.B2 == pytest.approx(B2, rel=1e-12)
+
+
+def test_beta_below_machine_epsilon_warns():
+    # criteria 1-2's first instance: its certified beta is about 1e-37
+    inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=1000)
+    params, rep = plan_stepsizes(inst, "theoretical", exact_limit=30)
+    assert params.beta < np.finfo(float).eps
+    warning = [w for w in rep.warnings if "below machine epsilon" in w]
+    assert len(warning) == 1 and f"{params.beta:.3g}" in warning[0]
+    assert "anchor z" in warning[0]
+
+    params, rep = plan_stepsizes(inst, "practical", exact_limit=30)
+    assert params.beta == 0.01
+    assert not any("below machine epsilon" in w for w in rep.warnings)
 
 
 # ------------------------------------------------ theta in practical plans

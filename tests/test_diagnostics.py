@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from sproxalm.constants import SolverParams, plan_stepsizes
 from sproxalm.diagnostics import (MonitorContext, certificate_from_step,
@@ -126,6 +127,66 @@ def test_minnorm_rejects_infeasible_point():
     far = inst.meta["x_feas"] + 100.0
     with pytest.raises(ValueError):
         certificate_minnorm(inst, far, np.zeros(1))
+
+
+def _box_minnorm_reference(inst, x, y):
+    """Reference cert_norm of certificate_minnorm on a box: the candidate
+    normals are collected coordinate by coordinate from the near-active
+    finite bounds, at the same tolerance, 1e-7 (1 + max|finite bound|)^2."""
+    P, n = inst.polyhedron, inst.n
+    finite = np.concatenate([P.hi[np.isfinite(P.hi)], P.lo[np.isfinite(P.lo)]])
+    scale = 1.0 + float(np.max(np.abs(finite), initial=0.0))
+    tol = 1e-7 * scale * scale
+    cols = []
+    for i in range(n):
+        if np.isfinite(P.hi[i]) and x[i] >= P.hi[i] - tol:
+            cols.append(np.eye(n)[i])
+        if np.isfinite(P.lo[i]) and x[i] <= P.lo[i] + tol:
+            cols.append(-np.eye(n)[i])
+    g0 = inst.grad_f(x) + inst.eq_matrix.T @ y
+    if not cols:
+        return float(np.linalg.norm(g0))
+    N = np.array(cols).T
+    mu, _ = nnls(N, -g0)
+    return float(np.linalg.norm(g0 + N @ mu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       coords=st.lists(st.tuples(st.sampled_from(["two-sided", "lo", "hi", "free", "pinned"]),
+                                 st.sampled_from(["at lo", "at hi", "near lo", "near hi",
+                                                  "inside"])),
+                       min_size=1, max_size=6))
+def test_minnorm_on_boxes_matches_per_coordinate_reference(seed, coords):
+    rng = np.random.default_rng(seed)
+    n = len(coords)
+    lo = rng.uniform(-3.0, 3.0, n)
+    hi = lo + rng.uniform(0.1, 3.0, n)
+    for i, (bounds, _) in enumerate(coords):
+        hi[i] = lo[i] if bounds == "pinned" else hi[i]
+        lo[i] = -np.inf if bounds in ("hi", "free") else lo[i]
+        hi[i] = np.inf if bounds in ("lo", "free") else hi[i]
+    finite = np.concatenate([lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
+    # within the active tolerance of a bound, but not within 1e-7 (1 + max|bound|)
+    near = 0.5e-7 * (1.0 + float(np.max(np.abs(finite), initial=0.0))) ** 2
+    x = np.zeros(n)
+    for i, (_, where) in enumerate(coords):
+        if np.isfinite(lo[i]) and where in ("at lo", "near lo"):
+            x[i] = lo[i] + (near if where == "near lo" and lo[i] < hi[i] else 0.0)
+        elif np.isfinite(hi[i]) and where in ("at hi", "near hi"):
+            x[i] = hi[i] - (near if where == "near hi" and lo[i] < hi[i] else 0.0)
+        elif np.isfinite(lo[i]) and np.isfinite(hi[i]):
+            x[i] = 0.5 * (lo[i] + hi[i])
+        elif np.isfinite(lo[i]) or np.isfinite(hi[i]):   # one-sided, inside
+            x[i] = lo[i] + 1.0 if np.isfinite(lo[i]) else hi[i] - 1.0
+    Q = rng.standard_normal((n, n))
+    inst = ProblemInstance(objective=QuadraticObjective(Q + Q.T, rng.standard_normal(n)),
+                           lipschitz_grad=1.0, eq_matrix=rng.standard_normal((1, n)),
+                           eq_rhs=np.zeros(1), polyhedron=Box(lo, hi))
+    y = rng.standard_normal(1)
+    rep = certificate_minnorm(inst, x, y)
+    assert rep.cert_norm == pytest.approx(_box_minnorm_reference(inst, x, y),
+                                          rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

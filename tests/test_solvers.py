@@ -309,7 +309,8 @@ def test_inner_minimize_iteration_cap_carries_best():
 @given(v=hnp.arrays(np.float64, st.integers(0, 40),
                     elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_norm_equals_numpy_norm_bitwise(v):
-    assert _norm(v) == float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):   # huge entries overflow to inf in both
+        assert _norm(v) == float(np.linalg.norm(v))
 
 
 def test_non_finite_gradient_names_its_iteration():
