@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 logger = logging.getLogger(__name__)
 
@@ -50,8 +49,8 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
     x_prev = np.asarray(x_prev, dtype=float)
     z_prev = np.asarray(z_prev, dtype=float)
     r = inst.eq_matrix @ x_prev - inst.eq_rhs
-    x1, _z1, _gx1, r1, v = _smoothed_step(inst, params, x_prev, state_next.y, z_prev,
-                                          inst.grad_f(x_prev), r)
+    x1, _z1, _gx1, r1, v = _smoothed_step(inst, params)(x_prev, state_next.y, z_prev,
+                                                        inst.grad_f(x_prev), r)
     scale = 1.0 + float(np.linalg.norm(state_next.x))
     if float(np.linalg.norm(x1 - state_next.x)) > 1e-8 * scale:
         raise StepMismatchError("state_next is not the projected step from x_prev")
@@ -66,25 +65,26 @@ def certificate_minnorm(inst: ProblemInstance, x, y) -> StationarityReport:
     outward normals of the near-active rows of P = {Gx <= h}; exact when
     P = R^n.
 
-    With s = 1 + max|h| and active_tol = 1e-7 s, x must lie in P within
-    active_tol, and a row is near-active when (Gx - h)_j >= -active_tol s.
-    Nearly-active rows are included in the candidate set (inclusion can
-    only lower the min-norm value).
+    With s = 1 + max|h| (for a box, 1 + max|finite bound|), x must lie in
+    P within 1e-7 s, and a row is near-active when (Gx - h)_j >= -1e-7 s:
+    one tolerance, scaled once.  Nearly-active rows are included in the
+    candidate set (inclusion can only lower the min-norm value).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     P = inst.polyhedron
     G, h = P.as_halfspaces()
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    active_tol = 1e-7 * scale
-    if not P.contains(x, tol=active_tol):
+    active_tol = 1e-7 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
+    if not P.contains(x, tol=1e-7):   # contains scales its tol by the same s
         raise ValueError("x lies outside P beyond active_tol")
 
     g0 = inst.grad_f(x) + inst.eq_matrix.T @ y
-    N = G[G @ x - h >= -active_tol * scale].T
+    N = G[G @ x - h >= -active_tol].T
     if N.shape[1] == 0:
         v = g0
     else:
+        from scipy.optimize import nnls   # imported on use: box solves never load scipy
+
         mu, _ = nnls(N, -g0)
         v = g0 + N @ mu
     eq = float(np.linalg.norm(inst.eq_matrix @ x - inst.eq_rhs))

@@ -67,11 +67,15 @@ class Box:
         return self.lo.shape[0]
 
     def clip(self, x):
-        return np.clip(x, self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def contains(self, x, tol=1e-9) -> bool:
-        scale = 1.0 + float(np.max(np.abs(np.where(np.isfinite(self.hi), self.hi, 0.0)), initial=0.0))
-        return bool(np.all(x >= self.lo - tol * scale) and np.all(x <= self.hi + tol * scale))
+        """x - hi <= tol s and lo - x <= tol s with s = 1 + max|finite bound|:
+        the rows and the scale of ``Halfspaces(*self.as_halfspaces())``,
+        so both representations of the box give the same answer."""
+        bounds = np.concatenate([self.lo, self.hi])
+        slack = tol * (1.0 + float(np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0)))
+        return bool(np.all(x - self.hi <= slack) and np.all(self.lo - x <= slack))
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import nnls
 
 from .exceptions import InfeasibleError
 from .problem import Box, Polyhedron
@@ -57,6 +55,8 @@ class StronglyConvexQP:
     """
 
     def __init__(self, H, A, b, G, h):
+        from scipy.linalg import solve_triangular   # imported on use: box solves never load scipy
+
         H = np.atleast_2d(np.asarray(H, dtype=float))
         n = H.shape[0]
         A = np.asarray(A, dtype=float).reshape(-1, n)
@@ -78,6 +78,8 @@ class StronglyConvexQP:
 
     def solve(self, c):
         """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0."""
+        from scipy.optimize import nnls   # imported on use: box solves never load scipy
+
         c = np.asarray(c, dtype=float)
         t = self._t0 + self._T @ c
         f = self._f0 + self._Et.T @ t

@@ -138,7 +138,7 @@ def _proj(P, x):
     """Exact projection of x onto P: a clamp for boxes, which never goes
     through ``project``, and one least-distance solve for halfspaces."""
     if isinstance(P, Box):
-        return np.clip(x, P.lo, P.hi)
+        return P.clip(x)
     return project(P, x).point
 
 
@@ -307,29 +307,36 @@ def K_value(inst: ProblemInstance, x, z, y, params: SolverParams) -> float:
             + 0.5 * params.p * float(np.dot(x - z, x - z)))
 
 
-def _smoothed_step(inst: ProblemInstance, params: SolverParams, x, y1, z, gx, r):
-    """The primal half of one outer iteration, and its certificate.
+def _smoothed_step(inst: ProblemInstance, params: SolverParams):
+    """The primal half of one outer iteration and its certificate, as a
+    function step(x, y1, z, gx, r) built once per run.
 
     Given x, the updated multiplier y1, the anchor z, gx = grad f(x) and
-    r = Ax - b, takes the projected gradient step x1 = proj(x - c g) with
-    g = grad_x K(x, z; y1) and the averaging step z1 = z + beta (x1 - z).
-    Returns (x1, z1, grad f(x1), Ax1 - b, v), where
+    r = Ax - b, step takes the projected gradient step x1 = proj(x - c g)
+    with g = grad_x K(x, z; y1) and the averaging step z1 = z + beta (x1 - z).
+    It returns (x1, z1, grad f(x1), Ax1 - b, v), where
 
         v = grad f(x1) + A'y1 - g - (x1 - x)/c
 
     lies in grad f(x1) + A'y1 + N_P(x1), because x - c g - x1 is normal
-    to P at x1.
+    to P at x1.  Every returned array is freshly allocated.
     """
-    A, b = inst.eq_matrix, inst.eq_rhs
-    Aty = A.T @ y1
-    g = gx + Aty + params.rho * (A.T @ r) + params.p * (x - z)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite gradient in the primal step")
-    x1 = _proj(inst.polyhedron, x - params.c * g)
-    z1 = z + params.beta * (x1 - z)
-    gx1 = inst.grad_f(x1)
-    v = gx1 + Aty - g - (x1 - x) / params.c
-    return x1, z1, gx1, A @ x1 - b, v
+    A, b, At = inst.eq_matrix, inst.eq_rhs, inst.eq_matrix.T
+    grad_f, P = inst.objective.grad, inst.polyhedron
+    rho, p, c, beta = params.rho, params.p, params.c, params.beta
+
+    def step(x, y1, z, gx, r):
+        Aty = At @ y1
+        g = gx + Aty + rho * (At @ r) + p * (x - z)
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient in the primal step")
+        x1 = _proj(P, x - c * g)
+        z1 = z + beta * (x1 - z)
+        gx1 = grad_f(x1)
+        v = gx1 + Aty - g - (x1 - x) / c
+        return x1, z1, gx1, A @ x1 - b, v
+
+    return step
 
 
 def sprox_alm_step(inst: ProblemInstance, state: IterateState,
@@ -341,7 +348,7 @@ def sprox_alm_step(inst: ProblemInstance, state: IterateState,
         raise ValueError("state dimensions do not match the instance")
     r = inst.eq_matrix @ x - inst.eq_rhs
     y1 = y + params.alpha * r
-    x1, z1, *_ = _smoothed_step(inst, params, x, y1, z, inst.grad_f(x), r)
+    x1, z1, *_ = _smoothed_step(inst, params)(x, y1, z, inst.grad_f(x), r)
     return IterateState(x=x1, y=y1, z=z1, t=state.t + 1)
 
 
@@ -390,29 +397,34 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> Sprox
         mon_ctx = MonitorContext(inst, params)
 
     trace = Trace(capacity=min(params.max_iters, 1 << 20) + 1)
-    best = None
+    step = _smoothed_step(inst, params)
+    f = inst.objective.value
+    alpha, max_iters, target_eps = params.alpha, params.max_iters, params.target_eps
+    trace_every = params.trace_every
+    # the best (t, x1, y1, cert, eq1) so far: x1 and y1 are fresh arrays each
+    # step, so references to them are as good as copies
+    best, best_eps = None, np.inf
     gx = inst.grad_f(x)
     r = inst.eq_matrix @ x - inst.eq_rhs
     state_t = 0
-    for t in range(params.max_iters):
-        y1 = y + params.alpha * r
+    for t in range(max_iters):
+        y1 = y + alpha * r
         try:
-            x1, z1, gx1, r1, v = _smoothed_step(inst, params, x, y1, z, gx, r)
+            x1, z1, gx1, r1, v = step(x, y1, z, gx, r)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} at iteration {t}") from exc
         dx = x1 - x
         cert = _norm(v)
         eq1 = _norm(r1)
         eps_t = max(cert, eq1)
-        if best is None or eps_t < best.eps:
-            best = BestCertificate(t=t, x=x1.copy(), y=y1.copy(),
-                                   cert_norm=cert, eq_residual=eq1)
+        if best is None or eps_t < best_eps:
+            best, best_eps = (t, x1, y1, cert, eq1), eps_t
 
         if _norm(y1) > _GUARD or _norm(x1) > _GUARD:
             raise DivergenceError("iterate or multiplier blow-up",
                                   state=IterateState(x1, y1, z1, t + 1))
 
-        emit = (t % params.trace_every == 0) or (t == params.max_iters - 1)
+        emit = (t % trace_every == 0) or (t == max_iters - 1)
         phi_val, phi_ok = np.nan, np.nan
         if emit and mon_ctx is not None:
             checks = mon_ctx.check_step(
@@ -426,11 +438,11 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> Sprox
                 monitor["lemma34_violations"] += int(not checks["lower_bound_ok"])
             monitor["step_error_bound_violations"] += int(not checks["step_error_bound_ok"])
         if emit:
-            trace.append(t, inst.f(x1), eq1, cert, _norm(dx), _norm(z1 - z), phi_val, phi_ok)
+            trace.append(t, f(x1), eq1, cert, _norm(dx), _norm(z1 - z), phi_val, phi_ok)
 
         x, y, z, gx, r = x1, y1, z1, gx1, r1
         state_t = t + 1
-        if eps_t <= params.target_eps:
+        if eps_t <= target_eps:
             break
     return SproxResult(state=IterateState(x, y, z, state_t), trace=trace,
-                       best=best, monitor=monitor)
+                       best=None if best is None else BestCertificate(*best), monitor=monitor)

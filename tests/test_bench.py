@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sproxalm
 from sproxalm.bench import ExperimentConfig, fit_rate, run_experiment
 from sproxalm.cli import main
 from sproxalm.problem import (fixed_instance_1d, generate_nonconvex_qp, instance_to_dict,
@@ -227,6 +230,28 @@ def test_cli_entrypoint_module():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "solve" in out.stdout and "gen-qp" in out.stdout
+
+
+def test_cli_box_solve_loads_no_scipy(tmp_path):
+    """Only factorised QPs and NNLS certificates need scipy, so a fresh
+    interpreter that generates and solves a box problem never loads it.
+    A subprocess: this test session has imported scipy already."""
+    problem, trace = str(tmp_path / "qp.json"), str(tmp_path / "trace.csv")
+    code = "\n".join([
+        "import json, sys",
+        "from sproxalm.cli import main",
+        f"assert main(['gen-qp', '--n', '6', '--m', '2', '--neg-eigs', '2', '--seed', '3',"
+        f" '--out', {problem!r}]) == 0",
+        f"assert main(['solve', '--problem', {problem!r}, '--max-iters', '500',"
+        f" '--trace', {trace!r}]) == 0",
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+    ])
+    src = str(Path(sproxalm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 # ------------------------------------------- practical plans without theta

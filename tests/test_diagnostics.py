@@ -132,11 +132,10 @@ def test_minnorm_rejects_infeasible_point():
 def _box_minnorm_reference(inst, x, y):
     """Reference cert_norm of certificate_minnorm on a box: the candidate
     normals are collected coordinate by coordinate from the near-active
-    finite bounds, at the same tolerance, 1e-7 (1 + max|finite bound|)^2."""
+    finite bounds, at the same tolerance, 1e-7 (1 + max|finite bound|)."""
     P, n = inst.polyhedron, inst.n
     finite = np.concatenate([P.hi[np.isfinite(P.hi)], P.lo[np.isfinite(P.lo)]])
-    scale = 1.0 + float(np.max(np.abs(finite), initial=0.0))
-    tol = 1e-7 * scale * scale
+    tol = 1e-7 * (1.0 + float(np.max(np.abs(finite), initial=0.0)))
     cols = []
     for i in range(n):
         if np.isfinite(P.hi[i]) and x[i] >= P.hi[i] - tol:
@@ -155,7 +154,7 @@ def _box_minnorm_reference(inst, x, y):
 @given(seed=st.integers(0, 10_000),
        coords=st.lists(st.tuples(st.sampled_from(["two-sided", "lo", "hi", "free", "pinned"]),
                                  st.sampled_from(["at lo", "at hi", "near lo", "near hi",
-                                                  "inside"])),
+                                                  "off lo", "off hi", "inside"])),
                        min_size=1, max_size=6))
 def test_minnorm_on_boxes_matches_per_coordinate_reference(seed, coords):
     rng = np.random.default_rng(seed)
@@ -167,14 +166,18 @@ def test_minnorm_on_boxes_matches_per_coordinate_reference(seed, coords):
         lo[i] = -np.inf if bounds in ("hi", "free") else lo[i]
         hi[i] = np.inf if bounds in ("lo", "free") else hi[i]
     finite = np.concatenate([lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
-    # within the active tolerance of a bound, but not within 1e-7 (1 + max|bound|)
-    near = 0.5e-7 * (1.0 + float(np.max(np.abs(finite), initial=0.0))) ** 2
+    # inside the active tolerance 1e-7 s of a bound (near), or outside it but
+    # inside 1e-7 s^2 once s = 1 + max|bound| > 2 (off)
+    scale = 1.0 + float(np.max(np.abs(finite), initial=0.0))
+    offset = {"near": 0.5e-7 * scale, "off": 2e-7 * scale, "at": 0.0}
     x = np.zeros(n)
     for i, (_, where) in enumerate(coords):
-        if np.isfinite(lo[i]) and where in ("at lo", "near lo"):
-            x[i] = lo[i] + (near if where == "near lo" and lo[i] < hi[i] else 0.0)
-        elif np.isfinite(hi[i]) and where in ("at hi", "near hi"):
-            x[i] = hi[i] - (near if where == "near hi" and lo[i] < hi[i] else 0.0)
+        kind, _, side = where.partition(" ")
+        move = offset.get(kind, 0.0) if lo[i] < hi[i] else 0.0
+        if np.isfinite(lo[i]) and side == "lo":
+            x[i] = lo[i] + move
+        elif np.isfinite(hi[i]) and side == "hi":
+            x[i] = hi[i] - move
         elif np.isfinite(lo[i]) and np.isfinite(hi[i]):
             x[i] = 0.5 * (lo[i] + hi[i])
         elif np.isfinite(lo[i]) or np.isfinite(hi[i]):   # one-sided, inside
@@ -187,6 +190,19 @@ def test_minnorm_on_boxes_matches_per_coordinate_reference(seed, coords):
     rep = certificate_minnorm(inst, x, y)
     assert rep.cert_norm == pytest.approx(_box_minnorm_reference(inst, x, y),
                                           rel=1e-12, abs=1e-12)
+
+
+def test_minnorm_scales_the_active_tolerance_once():
+    # f(x) = -x on [0, 1000]: s = 1001, so a bound is near-active within 1e-7 s
+    inst = ProblemInstance(objective=QuadraticObjective(np.zeros((1, 1)), np.array([-1.0])),
+                           lipschitz_grad=0.0, eq_matrix=np.zeros((1, 1)), eq_rhs=np.zeros(1),
+                           polyhedron=Box(np.zeros(1), np.array([1000.0])))
+    y = np.zeros(1)
+    assert certificate_minnorm(inst, np.array([999.95]), y).cert_norm == 1.0
+    assert certificate_minnorm(inst, np.array([1000.0 - 0.5e-4]), y).cert_norm == 0.0
+    assert certificate_minnorm(inst, np.array([1000.0]), y).cert_norm == 0.0
+    with pytest.raises(ValueError):
+        certificate_minnorm(inst, np.array([1000.0 + 2e-4]), y)
 
 
 @settings(max_examples=10, deadline=None)

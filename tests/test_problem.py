@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sproxalm.exceptions import DimensionMismatchError
@@ -128,3 +128,31 @@ def test_box_halfspace_rows_skip_infinite_bounds():
     assert G.shape == (2, 2)
     assert np.array_equal(G, np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert np.array_equal(h, np.array([1.0, 0.0]))
+
+
+@st.composite
+def boxes_with_points(draw):
+    """A box with some infinite bounds, and a point whose coordinates lie at
+    a bound or the midpoint, moved by up to three tolerances either way."""
+    n = draw(st.integers(1, 4))
+    lo, hi, anchors = [], [], []
+    for _ in range(n):
+        a, b = sorted(draw(st.floats(-1e6, 1e6)) for _ in range(2))
+        lo.append(draw(st.sampled_from([a, -np.inf])))
+        hi.append(draw(st.sampled_from([b, np.inf])))
+        anchors.append(draw(st.sampled_from([a, b, 0.5 * (a + b)])))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-7]))
+    finite = [v for v in lo + hi if np.isfinite(v)]
+    step = tol * (1.0 + max(map(abs, finite), default=0.0))
+    x = [v + draw(st.floats(-3.0, 3.0)) * step for v in anchors]
+    return lo, hi, x, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=boxes_with_points())
+@example(case=([-1e6], [0.0], [-1e6 - 1e-4], 1e-9))   # a finite lower bound sets the scale
+def test_box_contains_agrees_with_its_halfspaces(case):
+    lo, hi, x, tol = case
+    box = Box(np.array(lo), np.array(hi))
+    x = np.array(x)
+    assert box.contains(x, tol=tol) == Halfspaces(*box.as_halfspaces()).contains(x, tol=tol)
