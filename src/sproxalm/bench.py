@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MONITOR_LEVELS, plan_stepsizes
-from .problem import ProblemInstance, generate_nonconvex_qp, load_instance
+from .problem import ProblemInstance
 from .solvers import MONITOR_COUNTERS, Trace, alm_run, sprox_alm_run
 
 ALGORITHMS = ("alm", "sprox")
@@ -17,10 +17,8 @@ BURN_IN = 100   # rate fits use the trace rows from iteration BURN_IN on
 
 @dataclass
 class ExperimentConfig:
-    """One benchmark run.  Exactly one of problem_file / generator is set."""
+    """One benchmark run on a loaded instance."""
 
-    problem_file: str | None = None
-    generator: dict | None = None     # keys: n, m, neg_eigs, seed, optional box
     algorithm: str = "sprox"
     mode: str = "practical"
     max_iters: int = 10_000
@@ -29,11 +27,8 @@ class ExperimentConfig:
     monitor_level: str = "none"
     seed: int = 0
     exact_limit: int = 20
-    overrides: dict | None = None
 
     def validate(self):
-        if (self.problem_file is None) == (self.generator is None):
-            raise ValueError("exactly one problem source (file or generator) is required")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.mode not in MODES:
@@ -42,6 +37,8 @@ class ExperimentConfig:
             raise ValueError(f"monitor_level must be one of {MONITOR_LEVELS}")
         if self.target_eps <= 0:
             raise ValueError("target_eps must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -90,48 +87,32 @@ def fit_rate(trace: Trace) -> RateFit:
                    predicted_B=float(np.median(tB_all)), max_tB=float(np.max(tB_all)))
 
 
-def load_problem(cfg: ExperimentConfig) -> ProblemInstance:
-    if cfg.problem_file is not None:
-        return load_instance(cfg.problem_file)
-    g = dict(cfg.generator)
-    return generate_nonconvex_qp(
-        n=int(g["n"]), m=int(g["m"]), neg_eigs=int(g.get("neg_eigs", 0)),
-        rng_seed=int(g.get("seed", cfg.seed)), box=tuple(g.get("box", (0.0, 1.0))),
-    )
-
-
-def run_experiment(cfg: ExperimentConfig, inst: ProblemInstance | None = None) -> dict:
-    """Plan step sizes, run the chosen solver, write the trace, summarize.
-
-    ``inst`` is cfg's problem when the caller has loaded it already;
-    otherwise it is loaded here.  The summary is JSON-ready and
-    deterministic for a fixed config.
+def run_experiment(inst: ProblemInstance, cfg: ExperimentConfig) -> dict:
+    """Plan step sizes, run the chosen solver on inst, write the trace,
+    summarize.  The summary is JSON-ready and deterministic for a fixed
+    instance and config.
     """
     cfg.validate()
-    if inst is None:
-        inst = load_problem(cfg)
-    params, report = plan_stepsizes(inst, cfg.mode, overrides=cfg.overrides,
-                                    exact_limit=cfg.exact_limit, rng_seed=cfg.seed)
+    params, report = plan_stepsizes(inst, cfg.mode, exact_limit=cfg.exact_limit,
+                                    rng_seed=cfg.seed)
     params.max_iters = cfg.max_iters
     params.target_eps = cfg.target_eps
     params.monitor_level = cfg.monitor_level
     if cfg.algorithm == "sprox":
         res = sprox_alm_run(inst, params)
         trace = res.trace
-        best_eps = res.best.eps if res.best is not None else np.nan
+        best_eps = res.best.eps
         monitors = res.monitor
         heuristic = False
         iters = res.state.t
     else:
-        out = alm_run(inst, params, tol=max(cfg.target_eps, 1e-10),
-                      max_outer=cfg.max_iters)
+        out = alm_run(inst, params)
         trace = out.trace
-        best_eps = float(np.min(np.maximum(trace.column("eq_res"),
-                                           trace.column("cert_norm")))) if len(trace) else np.nan
+        best_eps = float(np.min(np.maximum(trace.column("eq_res"), trace.column("cert_norm"))))
         monitors = dict.fromkeys(MONITOR_COUNTERS)
         heuristic = out.heuristic
         iters = out.state.t
-    final_eps = trace.row(-1).eps if len(trace) else np.nan
+    final_eps = trace.row(-1).eps   # max_iters >= 1, so the trace has a row
 
     if cfg.trace_path:
         trace.to_csv(cfg.trace_path)

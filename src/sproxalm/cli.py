@@ -2,7 +2,8 @@
 
 Subcommands: solve, constants, verify-eb, verify-hoffman, trace-segment,
 gen-qp.  Exit codes: 0 ok, 1 verification failure, 2 solver error,
-3 I/O error.
+3 I/O error.  The commands raise; main alone maps each failure to its
+exit code.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentConfig, run_experiment
-from .constants import dual_error_bound_constant, hoffman_theta_exact, plan_stepsizes
-from .diagnostics import trace_segment_decomposition, verify_dual_error_bound, verify_hoffman
-from .exceptions import ConvergenceError, DivergenceError
+from .bench import ALGORITHMS, MODES, ExperimentConfig, run_experiment
+from .constants import (MONITOR_LEVELS, dual_error_bound_constant, hoffman_theta_exact,
+                        plan_stepsizes)
+from .diagnostics import (regularized_quadratic_instance, trace_segment_decomposition,
+                          verify_dual_error_bound, verify_hoffman)
 from .problem import generate_nonconvex_qp, load_instance, load_system, save_instance
 
 EXIT_OK = 0
@@ -30,17 +32,20 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_problem_or_exit(path):
+class _LoadError(Exception):
+    """A problem or system file that cannot be read or parsed (exit 3)."""
+
+
+def _load(loader, kind, path):
     try:
-        return load_instance(path)
+        return loader(path)
     except (OSError, ValueError, RecursionError) as exc:   # RecursionError: deep nesting
-        print(f"error: cannot load problem file {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise _LoadError(f"cannot load {kind} file {path!r}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
+    inst = _load(load_instance, "problem", args.problem)  # before any trace output
     cfg = ExperimentConfig(
-        problem_file=args.problem,
         algorithm=args.algo,
         mode=args.mode,
         max_iters=args.max_iters,
@@ -50,86 +55,52 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         exact_limit=args.exact_limit,
     )
-    inst = _load_problem_or_exit(args.problem)  # I/O problems exit 3 before any trace output
-    try:
-        summary = run_experiment(cfg, inst)
-    except (DivergenceError, ConvergenceError, FloatingPointError, OverflowError,
-            ValueError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _emit(summary)
+    _emit(run_experiment(inst, cfg))
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
-    inst = _load_problem_or_exit(args.problem)
-    try:
-        _params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
-                                         rng_seed=args.seed)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    inst = _load(load_instance, "problem", args.problem)
+    _params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
+                                     rng_seed=args.seed)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def cmd_verify_eb(args) -> int:
-    inst = _load_problem_or_exit(args.problem)
-    try:
-        params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
-                                        rng_seed=args.seed)
-        sigma5_bar = report.sigma5_bar
-        if sigma5_bar is None:  # a practical plan leaves out the sampled theta
-            _theta, _exact, sigma5_bar = dual_error_bound_constant(
-                inst, report.L, report.gamma_K, exact_limit=args.exact_limit,
-                rng_seed=args.seed)
-        out = verify_dual_error_bound(inst, params, n_samples=args.samples,
-                                      rng_seed=args.seed, sigma5_bar=sigma5_bar)
-    except (DivergenceError, ConvergenceError, RuntimeError, ValueError, OverflowError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    inst = _load(load_instance, "problem", args.problem)
+    params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
+                                    rng_seed=args.seed)
+    sigma5_bar = report.sigma5_bar
+    if sigma5_bar is None:  # a practical plan leaves out the sampled theta
+        _theta, _exact, sigma5_bar = dual_error_bound_constant(
+            inst, report.L, report.gamma_K, exact_limit=args.exact_limit, rng_seed=args.seed)
+    out = verify_dual_error_bound(inst, params, n_samples=args.samples,
+                                  rng_seed=args.seed, sigma5_bar=sigma5_bar)
     _emit(out.to_dict())
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED
 
 
 def cmd_verify_hoffman(args) -> int:
-    try:
-        C1, b1, C2, b2, theta = load_system(args.system)
-    except (OSError, ValueError, RecursionError) as exc:   # RecursionError: deep nesting
-        print(f"error: cannot load system file {args.system!r}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        if theta is None:
-            M = np.vstack([C2, C1]) if C1.size and C2.size else (C2 if C2.size else C1)
-            theta = hoffman_theta_exact(M)
-        out = verify_hoffman(C1, b1, C2, b2, theta, n_points=args.points,
-                             rng_seed=args.seed)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    C1, b1, C2, b2, theta = _load(load_system, "system", args.system)
+    if theta is None:
+        M = np.vstack([C2, C1]) if C1.size and C2.size else (C2 if C2.size else C1)
+        theta = hoffman_theta_exact(M)
+    out = verify_hoffman(C1, b1, C2, b2, theta, n_points=args.points, rng_seed=args.seed)
     _emit(out.to_dict())
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED
 
 
 def cmd_trace_segment(args) -> int:
-    inst = _load_problem_or_exit(args.problem)
-    try:
-        params, _report = plan_stepsizes(inst, "practical", exact_limit=args.exact_limit,
-                                         rng_seed=args.seed)
-        from .diagnostics import regularized_quadratic_instance
-
-        anchor = inst.meta.get("x_feas")
-        z = np.zeros(inst.n) if anchor is None else np.asarray(anchor, dtype=float)
-        g_inst = regularized_quadratic_instance(inst, params, z)
-        rng = np.random.default_rng(args.seed)
-        y_tilde = args.y_scale * rng.standard_normal(inst.m)
-        seg = trace_segment_decomposition(g_inst, y_tilde, grid_size=args.grid)
-    except (ValueError, RuntimeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    inst = _load(load_instance, "problem", args.problem)
+    params, _report = plan_stepsizes(inst, "practical", exact_limit=args.exact_limit,
+                                     rng_seed=args.seed)
+    anchor = inst.meta.get("x_feas")
+    z = np.zeros(inst.n) if anchor is None else np.asarray(anchor, dtype=float)
+    g_inst = regularized_quadratic_instance(inst, params, z)
+    rng = np.random.default_rng(args.seed)
+    y_tilde = args.y_scale * rng.standard_normal(inst.m)
+    seg = trace_segment_decomposition(g_inst, y_tilde, grid_size=args.grid)
     result = {
         "samples": len(seg.grid),
         "max_ratio": seg.max_segment_ratio,
@@ -147,17 +118,9 @@ def cmd_trace_segment(args) -> int:
 
 
 def cmd_gen_qp(args) -> int:
-    try:
-        inst = generate_nonconvex_qp(n=args.n, m=args.m, neg_eigs=args.neg_eigs,
-                                     rng_seed=args.seed, box=(args.box_lo, args.box_hi))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        save_instance(inst, args.out)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    inst = generate_nonconvex_qp(n=args.n, m=args.m, neg_eigs=args.neg_eigs,
+                                 rng_seed=args.seed, box=(args.box_lo, args.box_hi))
+    save_instance(inst, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -169,19 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run a solver on a problem file")
     s.add_argument("--problem", required=True)
-    s.add_argument("--algo", choices=("alm", "sprox"), default="sprox")
-    s.add_argument("--mode", choices=("theoretical", "practical"), default="practical")
+    s.add_argument("--algo", choices=ALGORITHMS, default="sprox")
+    s.add_argument("--mode", choices=MODES, default="practical")
     s.add_argument("--max-iters", type=int, default=10_000)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--trace", default=None)
-    s.add_argument("--monitor", choices=("none", "full"), default="none")
+    s.add_argument("--monitor", choices=MONITOR_LEVELS, default="none")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--exact-limit", type=int, default=20)
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("constants", help="print the constants report for a problem")
     s.add_argument("--problem", required=True)
-    s.add_argument("--mode", choices=("theoretical", "practical"), default="theoretical")
+    s.add_argument("--mode", choices=MODES, default="theoretical")
     s.add_argument("--exact-limit", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_constants)
@@ -190,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--problem", required=True)
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--mode", choices=("theoretical", "practical"), default="theoretical")
+    s.add_argument("--mode", choices=MODES, default="theoretical")
     s.add_argument("--exact-limit", type=int, default=20)
     s.set_defaults(func=cmd_verify_eb)
 
@@ -225,8 +188,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:  # loader helpers signal I/O failures this way
-        return int(exc.code)
+    except _LoadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, RuntimeError, FloatingPointError, OverflowError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ of the bound rows to compress each candidate to a small equivalent stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -255,14 +255,7 @@ class ConstantsReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "sigma_max_A", "L_f", "rho", "p", "L", "gamma_K",
-            "sigma1", "sigma2", "sigma3", "sigma4",
-            "theta_bar", "theta_exact", "sigma5_bar",
-            "c_max", "alpha_max", "beta_max", "B1", "B2", "mode",
-        )}
-        out["warnings"] = list(self.warnings)
-        return out
+        return asdict(self)
 
 
 def sigma5_from_theta(theta_bar: float, L: float, gamma: float) -> float:

@@ -268,6 +268,8 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
     misses Ax = b by more than 1e-10 (1 + ||b||), is skipped; more than
     10% skipped samples raises RuntimeError.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
     qp = prox_qp(inst, params.p)
@@ -346,6 +348,8 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
     the origin).  Each nearest point is one least-distance solve of a
     single factorisation of the system.
     """
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     C1 = np.atleast_2d(np.asarray(C1, dtype=float)) if C1 is not None else None
     C2 = np.atleast_2d(np.asarray(C2, dtype=float)) if C2 is not None else None
     n = C1.shape[1] if C1 is not None and C1.size else C2.shape[1]
@@ -449,6 +453,8 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     set are checked against the per-segment Lipschitz bound with
     sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma.
     """
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     H, q = _quadratic_parts(g_inst)
     ev = np.linalg.eigvalsh(H)
     if ev[0] <= 0:

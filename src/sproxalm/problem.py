@@ -313,6 +313,9 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
         raise ValueError("require 0 < m < n so A can have full row rank with slack")
     if neg_eigs >= n or neg_eigs < 0:
         raise ValueError("require 0 <= neg_eigs < n")
+    lo_b, hi_b = float(box[0]), float(box[1])
+    if not np.isfinite(hi_b - lo_b):   # an infinite or NaN bound makes it so too
+        raise ValueError("box bounds and their width must be finite")
     rng = np.random.default_rng(rng_seed)
 
     lam = rng.uniform(0.5, 2.0, size=n)
@@ -328,8 +331,8 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
     Qa, Ra = np.linalg.qr(Ar)
     A = (Qa * np.sign(np.diag(Ra))).T  # m x n, orthonormal rows
 
-    lo = np.full(n, float(box[0]))
-    hi = np.full(n, float(box[1]))
+    lo = np.full(n, lo_b)
+    hi = np.full(n, hi_b)
     x_feas = lo + (0.25 + 0.5 * rng.random(n)) * (hi - lo)
     b = A @ x_feas
 
@@ -348,6 +351,8 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
     sampled_min = float(min(float(np.min(corner_vals)), min(feas_vals)))
     margin = 1.0 + 0.1 * abs(sampled_min)
     f_lower = sampled_min - margin
+    if not np.isfinite(f_lower):
+        raise ValueError("the box is too wide: f overflows on its corners")
 
     return ProblemInstance(
         objective=obj,

@@ -253,13 +253,14 @@ class AlmResult:
     converged: bool
 
 
-def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
-            tol: float | None = None, max_outer: int | None = None) -> AlmResult:
+def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
     """Classical augmented Lagrangian iteration (exact-minimization form).
 
-    Each outer step minimizes L_rho(.; y) over P, then updates
-    y <- y + rho (Ax - b).  When the inner problem is not strongly convex
-    the inner solve is a projected-gradient run to a stationary point and
+    Starts from x = the projection of the origin onto P and y = 0.  Each
+    of at most max_iters outer steps minimizes L_rho(.; y) over P, then
+    updates y <- y + rho (Ax - b); the run stops once the residual and the
+    inner fixed-point residual reach max(target_eps, 1e-10).  When the
+    inner problem is not strongly convex the inner solve is a projected-gradient run to a stationary point and
     the result is flagged heuristic.  Multiplier or iterate norms beyond
     1e12, of the outer or the inner iteration, raise DivergenceError (the
     nonconvex baseline may diverge).
@@ -268,8 +269,7 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
     which bounds the certificate available at (x, y + rho(Ax-b)) after the
     multiplier update absorbs the penalty gradient.
     """
-    tol = params.target_eps if tol is None else tol
-    max_outer = params.max_iters if max_outer is None else max_outer
+    tol = max(params.target_eps, 1e-10)
     A, b = inst.eq_matrix, inst.eq_rhs
     rho = params.rho
     # the inner curvature: strong convexity and the step of the inner loop
@@ -278,12 +278,12 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
     heuristic = not eig[0] > 1e-12
     L_in = float(eig[-1])
 
-    y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    x = _proj(inst.polyhedron, np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float))
-    trace = Trace(capacity=max_outer + 1)
+    y = np.zeros(inst.m)
+    x = _proj(inst.polyhedron, np.zeros(inst.n))
+    trace = Trace(capacity=params.max_iters + 1)
     b_scale = 1.0 + float(np.linalg.norm(b))
-    converged = False
-    for t in range(max_outer):
+    converged, state_t = False, 0
+    for t in range(params.max_iters):
         x_prev = x
         x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, 0.0, L_in, tol, 200_000)
         r = A @ x - b
@@ -294,10 +294,11 @@ def alm_run(inst: ProblemInstance, params: SolverParams, x0=None, y0=None,
                                   state=IterateState(x, y, x.copy(), t))
         trace.append(t, inst.f(x), feas, inner_res,
                      float(np.linalg.norm(x - x_prev)), 0.0)
+        state_t = t + 1
         if feas <= tol * b_scale and inner_res <= tol:
             converged = True
             break
-    return AlmResult(state=IterateState(x, y, x.copy(), t + 1), trace=trace,
+    return AlmResult(state=IterateState(x, y, x.copy(), state_t), trace=trace,
                      heuristic=heuristic, converged=converged)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import sproxalm
 from sproxalm.bench import ExperimentConfig, fit_rate, run_experiment
+from sproxalm import cli
 from sproxalm.cli import main
 from sproxalm.problem import (fixed_instance_1d, generate_nonconvex_qp, instance_to_dict,
                               save_instance)
@@ -63,20 +64,16 @@ def test_fit_rate_burn_in_excluded():
 
 # ----------------------------------------------------------- run_experiment
 
-def test_experiment_config_requires_one_source(tmp_path):
-    with pytest.raises(ValueError):
-        ExperimentConfig().validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem_file="x.json", generator={"n": 2, "m": 1}).validate()
+def test_experiment_config_rejects_runs_without_iterations():
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters"):
+            ExperimentConfig(max_iters=max_iters).validate()
 
 
 def test_run_experiment_golden_instance(tmp_path):
-    path = tmp_path / "p.json"
-    save_instance(fixed_instance_1d(), path)
-    cfg = ExperimentConfig(problem_file=str(path), algorithm="sprox",
-                           mode="theoretical", max_iters=10_000,
+    cfg = ExperimentConfig(algorithm="sprox", mode="theoretical", max_iters=10_000,
                            trace_path=str(tmp_path / "t.csv"))
-    summary = run_experiment(cfg)
+    summary = run_experiment(fixed_instance_1d(), cfg)
     # the default start (projection of the origin) is the exact KKT point here
     assert summary["best_eps"] <= 1e-4
     assert summary["constants"]["sigma5_bar"] == pytest.approx(13 * np.sqrt(2), rel=1e-12)
@@ -84,17 +81,17 @@ def test_run_experiment_golden_instance(tmp_path):
 
 
 def test_run_experiment_deterministic(tmp_path):
-    cfg = dict(generator={"n": 5, "m": 2, "neg_eigs": 2, "seed": 7},
-               algorithm="sprox", mode="practical", max_iters=500)
-    a = run_experiment(ExperimentConfig(**cfg))
-    b = run_experiment(ExperimentConfig(**cfg))
+    inst = generate_nonconvex_qp(n=5, m=2, neg_eigs=2, rng_seed=7)
+    cfg = dict(algorithm="sprox", mode="practical", max_iters=500)
+    a = run_experiment(inst, ExperimentConfig(**cfg))
+    b = run_experiment(inst, ExperimentConfig(**cfg))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_run_experiment_alm_flags_heuristic():
-    cfg = ExperimentConfig(generator={"n": 4, "m": 1, "neg_eigs": 2, "seed": 3},
-                           algorithm="alm", mode="practical", max_iters=30)
-    summary = run_experiment(cfg)
+    inst = generate_nonconvex_qp(n=4, m=1, neg_eigs=2, rng_seed=3)
+    cfg = ExperimentConfig(algorithm="alm", mode="practical", max_iters=30)
+    summary = run_experiment(inst, cfg)
     assert summary["heuristic"] is True
 
 
@@ -210,6 +207,78 @@ def test_cli_gen_qp_invalid_sizes_exits_2(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("box", [["--box-lo=-inf"], ["--box-lo=nan"],
+                                 ["--box-lo=-1e308", "--box-hi=1e308"],
+                                 ["--box-lo=-1e200", "--box-hi=1e200"]])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_gen_qp_non_finite_box_exits_2(tmp_path, capsys, box):
+    out = tmp_path / "qp.json"
+    rc = main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1", "--seed", "0",
+               "--out", str(out)] + box)
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["sprox", "alm"])
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+def test_cli_solve_without_iterations_exits_2(tmp_path, capsys, algo, max_iters):
+    problem = tmp_path / "p.json"
+    save_instance(fixed_instance_1d(), problem)
+    rc = main(["solve", "--problem", str(problem), "--algo", algo, "--max-iters", max_iters])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("solver error: max_iters")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-eb", "--samples", "0"], ["verify-eb", "--samples", "-2"],
+    ["verify-hoffman", "--points", "0"],
+    ["trace-segment", "--grid", "0"], ["trace-segment", "--grid", "1"],
+])
+def test_cli_verifiers_without_evidence_exit_2(tmp_path, capsys, argv):
+    problem, system = tmp_path / "p.json", tmp_path / "sys.json"
+    save_instance(generate_nonconvex_qp(n=3, m=1, neg_eigs=1, rng_seed=9), problem)
+    system.write_text(json.dumps({"n": 1, "C1": [1.0], "b1": [1.0], "theta": 1.0}))
+    source = ["--system", str(system)] if argv[0] == "verify-hoffman" \
+        else ["--problem", str(problem)]
+    assert main(argv + source) == 2
+    assert capsys.readouterr().err.startswith("solver error:")
+
+
+# each subcommand and the call its work goes through
+_COMMAND_CALLS = [
+    ("solve", "run_experiment"), ("constants", "plan_stepsizes"),
+    ("verify-eb", "verify_dual_error_bound"), ("verify-hoffman", "verify_hoffman"),
+    ("trace-segment", "trace_segment_decomposition"), ("gen-qp", "generate_nonconvex_qp"),
+]
+
+
+@pytest.mark.parametrize("command, call", _COMMAND_CALLS)
+def test_cli_main_maps_every_failure_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                      command, call):
+    problem, system = tmp_path / "p.json", tmp_path / "sys.json"
+    save_instance(fixed_instance_1d(), problem)
+    system.write_text(json.dumps({"n": 1, "C1": [1.0], "b1": [1.0], "theta": 1.0}))
+    argv = {
+        "verify-hoffman": ["--system", str(system)],
+        "gen-qp": ["--n", "3", "--m", "1", "--neg-eigs", "1", "--seed", "0",
+                   "--out", str(tmp_path / "qp.json")],
+    }.get(command, ["--problem", str(problem)])
+
+    for exc, rc, prefix in ((RuntimeError, 2, "solver error:"),
+                            (FloatingPointError, 2, "solver error:"),
+                            (OSError, 3, "I/O error:"), (TypeError, None, None)):
+        def fail(*args, exc=exc, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, call, fail)
+        if rc is None:   # a bug is not an exit code
+            with pytest.raises(TypeError, match="injected"):
+                main([command] + argv)
+        else:
+            assert main([command] + argv) == rc
+            assert capsys.readouterr().err == f"{prefix} injected\n"
 
 
 def test_cli_trace_segment(tmp_path, capsys):
@@ -378,7 +447,8 @@ def _run(argv):
 def test_cli_fuzzed_problem_files_map_to_exit_codes(tmp_path, data):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
-    for argv in (["solve", "--max-iters", "20"], ["constants"]):
+    for argv in (["solve", "--max-iters", "20"], ["constants"], ["verify-eb", "--samples", "2"],
+                 ["trace-segment", "--grid", "11"]):
         assert _run(argv + ["--problem", str(path)]) in (0, 1, 2, 3)
 
 

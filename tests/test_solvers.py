@@ -119,8 +119,17 @@ def test_alm_zero_dual_update_at_feasible_start():
                            polyhedron=Box(np.array([-np.inf]), np.array([np.inf])))
     params = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.1, beta=0.5,
                           max_iters=3, target_eps=1e-12)
-    out = alm_run(inst, params, x0=np.array([0.0]), y0=np.array([0.0]))
+    out = alm_run(inst, params)   # starts at x = 0, y = 0
     assert abs(out.state.y[0]) < 1e-10   # optimal multiplier for x* = 0 is y* = 0
+
+
+def test_alm_zero_iterations_returns_the_start():
+    inst = fixed_instance_1d()
+    params = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.1, beta=0.5, max_iters=0)
+    out = alm_run(inst, params)
+    assert out.state.t == 0 and len(out.trace) == 0 and not out.converged
+    assert np.array_equal(out.state.x, inst.polyhedron.clip(np.zeros(1)))
+    assert np.array_equal(out.state.y, np.zeros(1))
 
 
 def test_alm_flags_nonconvex_as_heuristic():
