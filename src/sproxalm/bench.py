@@ -6,12 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MONITOR_LEVELS, plan_stepsizes
+from .constants import MODES, MONITOR_LEVELS, plan_stepsizes
 from .problem import ProblemInstance
 from .solvers import MONITOR_COUNTERS, Trace, alm_run, sprox_alm_run
 
 ALGORITHMS = ("alm", "sprox")
-MODES = ("theoretical", "practical")
 BURN_IN = 100   # rate fits use the trace rows from iteration BURN_IN on
 
 
@@ -35,7 +34,7 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.monitor_level not in MONITOR_LEVELS:
             raise ValueError(f"monitor_level must be one of {MONITOR_LEVELS}")
-        if self.target_eps <= 0:
+        if not self.target_eps > 0:   # NaN included
             raise ValueError("target_eps must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .bench import ALGORITHMS, MODES, ExperimentConfig, run_experiment
-from .constants import (MONITOR_LEVELS, dual_error_bound_constant, hoffman_theta_exact,
+from .bench import ALGORITHMS, ExperimentConfig, run_experiment
+from .constants import (MODES, MONITOR_LEVELS, dual_error_bound_constant, hoffman_theta_exact,
                         plan_stepsizes)
 from .diagnostics import (regularized_quadratic_instance, trace_segment_decomposition,
                           verify_dual_error_bound, verify_hoffman)
@@ -84,8 +84,7 @@ def cmd_verify_eb(args) -> int:
 def cmd_verify_hoffman(args) -> int:
     C1, b1, C2, b2, theta = _load(load_system, "system", args.system)
     if theta is None:
-        M = np.vstack([C2, C1]) if C1.size and C2.size else (C2 if C2.size else C1)
-        theta = hoffman_theta_exact(M)
+        theta = hoffman_theta_exact(np.vstack([C2, C1]))
     out = verify_hoffman(C1, b1, C2, b2, theta, n_points=args.points, rng_seed=args.seed)
     _emit(out.to_dict())
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED

@@ -16,7 +16,7 @@ of the bound rows to compress each candidate to a small equivalent stack.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -54,7 +54,10 @@ def _rank_and_tol(M) -> tuple[int, float]:
 
 
 def _theta_from_singular_values(sv, tol):
-    """Max ratio over a batch; sv sorted descending per row (numpy svd order)."""
+    """Max ratio over a batch; sv sorted descending per row (numpy svd order).
+    Empty submatrices contribute 0."""
+    if sv.shape[-1] == 0:
+        return 0.0
     smax = sv[:, 0]
     smin = sv[:, -1]
     valid = smin > tol
@@ -63,32 +66,37 @@ def _theta_from_singular_values(sv, tol):
     return float(np.max(smax[valid] ** 2 / smin[valid] ** 4))
 
 
-def hoffman_theta_exact(M) -> float:
-    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices."""
+def _max_theta(M, index_blocks) -> float:
+    """Max of sigma_max^2/sigma_min^4 over rank(M)-row submatrices of M.
+
+    ``index_blocks(rows, r)`` yields the submatrices as (B, r) arrays of
+    row indices; each block takes one batched SVD."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows = M.shape[0]
     r, tol = _rank_and_tol(M)
     if r == 0:
         return 0.0
+    best = 0.0
+    for idx in index_blocks(M.shape[0], r):
+        sv = np.linalg.svd(M[idx], compute_uv=False)
+        best = max(best, _theta_from_singular_values(sv, tol))
+    return best
+
+
+def _all_subsets(rows, r):
+    """Every r-row subset, in blocks of _EXACT_CHUNK."""
     total = comb(rows, r)
     if total > _MAX_EXACT_SUBSETS:
         raise ValueError(
             f"exact enumeration needs {total} subsets; reduce exact_limit or use sampling"
         )
-    best = 0.0
     combos = combinations(range(rows), r)
-    while True:
-        block = []
-        for _ in range(_EXACT_CHUNK):
-            c = next(combos, None)
-            if c is None:
-                break
-            block.append(c)
-        if not block:
-            break
-        sv = np.linalg.svd(M[np.asarray(block)], compute_uv=False)
-        best = max(best, _theta_from_singular_values(sv, tol))
-    return best
+    while block := list(islice(combos, _EXACT_CHUNK)):
+        yield np.asarray(block)
+
+
+def hoffman_theta_exact(M) -> float:
+    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices."""
+    return _max_theta(M, _all_subsets)
 
 
 def _two_sided_box_rows(G) -> bool:
@@ -158,21 +166,12 @@ def hoffman_theta_exact_box(A, tol: float) -> float:
 
 def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator) -> float:
     """Lower-bound estimate of theta from random rank(M)-row submatrices."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows = M.shape[0]
-    r, tol = _rank_and_tol(M)
-    if r == 0:
-        return 0.0
-    best = 0.0
-    done = 0
-    while done < n_samples:
-        b = min(_SAMPLED_CHUNK, n_samples - done)
-        keys = rng.random((b, rows))
-        idx = np.argsort(keys, axis=1)[:, :r]
-        sv = np.linalg.svd(M[idx], compute_uv=False)
-        best = max(best, _theta_from_singular_values(sv, tol))
-        done += b
-    return best
+    def random_subsets(rows, r):
+        for done in range(0, n_samples, _SAMPLED_CHUNK):
+            keys = rng.random((min(_SAMPLED_CHUNK, n_samples - done), rows))
+            yield np.argsort(keys, axis=1)[:, :r]
+
+    return _max_theta(M, random_subsets)
 
 
 def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[float, bool]:
@@ -185,21 +184,19 @@ def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[fl
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = build_hoffman_matrix(A, G)
-    rows = M.shape[0]
-    if rows <= exact_limit:
-        m = A.shape[0]
-        full_row_rank_A = np.linalg.matrix_rank(A) == m
-        if G is not None and np.size(G) and _two_sided_box_rows(G) and full_row_rank_A:
+    if M.shape[0] <= exact_limit:
+        if (G is not None and np.size(G) and _two_sided_box_rows(G)
+                and np.linalg.matrix_rank(A) == A.shape[0]):
             return hoffman_theta_exact_box(A, _rank_and_tol(M)[1]), True
         return hoffman_theta_exact(M), True
-    rng = np.random.default_rng(rng_seed)
-    return hoffman_theta_sampled(M, 10_000, rng), False
+    return hoffman_theta_sampled(M, 10_000, np.random.default_rng(rng_seed)), False
 
 
 # ---------------------------------------------------------------------------
 # step-size planning
 # ---------------------------------------------------------------------------
 
+MODES = ("theoretical", "practical")
 MONITOR_LEVELS = ("none", "full")
 
 
@@ -225,11 +222,6 @@ class SolverParams:
         if min(self.rho, self.p, self.c, self.alpha) <= 0:
             raise ValueError("rho, p, c, alpha must be positive")
 
-    def check_against(self, inst: ProblemInstance):
-        L = inst.lipschitz_grad + self.rho * inst.sigma_max_A ** 2 + self.p
-        if not self.c < 1.0 / L:
-            raise ValueError(f"c={self.c} violates c < 1/(L_f + rho*smax(A)^2 + p) = {1.0 / L}")
-
 
 @dataclass
 class ConstantsReport:
@@ -241,13 +233,13 @@ class ConstantsReport:
     gamma_K: float
     sigma1: float
     sigma2: float
-    sigma3: float
+    sigma3: float | None          # None: smax(A) = 0, no bound
     sigma4: float
     theta_bar: float | None       # None: a practical plan above exact_limit rows
     theta_exact: bool
     sigma5_bar: float | None
     c_max: float
-    alpha_max: float
+    alpha_max: float | None       # None: not finite (smax(A)^2 = 0)
     beta_max: float | None
     B1: float
     B2: float
@@ -274,54 +266,43 @@ def dual_error_bound_constant(inst: ProblemInstance, L: float, gamma: float,
     return theta_bar, exact, sigma5_from_theta(theta_bar, L, gamma)
 
 
-def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = None,
-                   exact_limit: int = 20, rng_seed: int = 0):
+def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
+                   rng_seed: int = 0):
     """Derive (SolverParams, ConstantsReport) for an instance.
 
     theoretical mode takes 0.99 of every strict admissibility bound
     (p = 3 L_f, rho = L_f, c, alpha, and beta through the certified
-    sigma5_bar).  practical mode keeps c but relaxes beta to
-    min(1/30, 0.01), which carries no convergence guarantee and is
-    flagged as such; it computes theta_bar only when it is exact (at
-    most ``exact_limit`` rows of M), and otherwise reports theta_bar,
-    sigma5_bar and beta_max as None with a warning.  A beta below
-    machine epsilon is reported with a warning too.  Overrides replace
-    individual values; in theoretical mode they are validated against
-    the strict bounds.
+    sigma5_bar).  practical mode keeps c but takes 0.9 of the alpha
+    bound and relaxes beta to 0.01, which carries no convergence
+    guarantee and is flagged as such; it computes theta_bar only when it
+    is exact (at most ``exact_limit`` rows of M), and otherwise reports
+    theta_bar, sigma5_bar and beta_max as None with a warning.  A beta
+    below machine epsilon is reported with a warning too.  With
+    smax(A) = 0 there is no alpha bound, and sigma3 and alpha_max are
+    reported as None; alpha is 1 whenever alpha_max is not finite.  The
+    step sizes exist only for L_f > 0 and a finite
+    L = L_f + rho smax(A)^2 + p; otherwise ValueError.
     """
-    if mode not in ("theoretical", "practical"):
-        raise ValueError("mode must be 'theoretical' or 'practical'")
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - {"rho", "p", "c", "alpha", "beta"}
-    if unknown:
-        raise ValueError(f"unknown override keys: {sorted(unknown)}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     warnings = []
 
     L_f = inst.lipschitz_grad
     smaxA = inst.sigma_max_A
-    p = float(overrides.get("p", 3.0 * L_f))
-    rho = float(overrides.get("rho", L_f))
-    if p <= L_f:
-        raise ValueError("p must exceed L_f for the proximal term to convexify")
-    if mode == "theoretical" and p < 3.0 * L_f - 1e-15:
-        raise ValueError("theoretical mode requires p >= 3*L_f")
-
+    p = 3.0 * L_f
+    rho = L_f
     L = L_f + rho * smaxA ** 2 + p
+    if not (L_f > 0 and np.isfinite(L)):
+        raise ValueError(f"step sizes need L_f > 0 and a finite L = L_f + rho*smax(A)^2 + p "
+                         f"(got L_f = {L_f}, L = {L})")
     gamma_K = p - L_f
     c_max = 1.0 / L
-    c = float(overrides.get("c", 0.99 * c_max))
-    if not 0 < c < c_max:
-        raise ValueError(f"c must satisfy 0 < c < {c_max} strictly (got {c})")
+    c = 0.99 * c_max
 
-    alpha_max = c * gamma_K ** 2 / (4.0 * smaxA ** 2) if smaxA > 0 else np.inf
-    default_alpha = (0.99 if mode == "theoretical" else 0.9) * alpha_max
-    if not np.isfinite(default_alpha):
-        default_alpha = 1.0
-    alpha = float(overrides.get("alpha", default_alpha))
-    if mode == "theoretical" and not alpha < alpha_max:
-        raise ValueError(f"alpha must be strictly below {alpha_max} (got {alpha})")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha_max = c * gamma_K ** 2 / (4.0 * smaxA ** 2) if smaxA ** 2 > 0 else np.inf
+    alpha = (0.99 if mode == "theoretical" else 0.9) * alpha_max
+    if not np.isfinite(alpha):
+        alpha = 1.0
 
     # the practical beta does not use theta, so a practical plan skips
     # the sampled estimate above exact_limit rows of M = [[A', G'], [0, I]]
@@ -338,13 +319,9 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
             warnings.append(
                 "theta_bar is a sampled lower bound; the beta bound is not certified"
             )
-        beta = float(overrides.get("beta", 0.99 * beta_max))
-        if not 0 < beta < beta_max:
-            raise ValueError(f"beta must satisfy 0 < beta < {beta_max} strictly (got {beta})")
+        beta = 0.99 * beta_max
     else:
-        beta = float(overrides.get("beta", min(1.0 / 30.0, 0.01)))
-        if not 0 < beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
+        beta = 0.01
         warnings.append("practical beta carries no theoretical guarantee")
         if theta_bar is None:
             warnings.append(
@@ -360,18 +337,15 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, overrides: dict | None = No
 
     sigma1 = c * gamma_K
     sigma2 = sigma1 / (1.0 + sigma1)
-    sigma3 = gamma_K / smaxA if smaxA > 0 else np.inf
     sigma4 = gamma_K / p
     B1 = (1.0 + smaxA * (1.0 + c * gamma_K) / (c * gamma_K)) ** 2
     B2 = ((L_f + p + rho * smaxA ** 2 + 2.0 / c) + rho * smaxA * np.sqrt(B1) + p) ** 2
 
     report = ConstantsReport(
         sigma_max_A=smaxA, L_f=L_f, rho=rho, p=p, L=L, gamma_K=gamma_K,
-        sigma1=sigma1, sigma2=sigma2, sigma3=sigma3, sigma4=sigma4,
-        theta_bar=theta_bar, theta_exact=theta_exact, sigma5_bar=sigma5_bar,
-        c_max=c_max, alpha_max=alpha_max, beta_max=beta_max,
-        B1=float(B1), B2=float(B2), mode=mode, warnings=warnings,
+        sigma1=sigma1, sigma2=sigma2, sigma3=gamma_K / smaxA if smaxA > 0 else None,
+        sigma4=sigma4, theta_bar=theta_bar, theta_exact=theta_exact, sigma5_bar=sigma5_bar,
+        c_max=c_max, alpha_max=alpha_max if np.isfinite(alpha_max) else None,
+        beta_max=beta_max, B1=float(B1), B2=float(B2), mode=mode, warnings=warnings,
     )
-    params = SolverParams(rho=rho, p=p, c=c, alpha=alpha, beta=beta)
-    params.check_against(inst)
-    return params, report
+    return SolverParams(rho=rho, p=p, c=c, alpha=alpha, beta=beta), report

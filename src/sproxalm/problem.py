@@ -344,11 +344,12 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
         corners = np.array(np.meshgrid(*[[lo[i], hi[i]] for i in range(n)])).T.reshape(-1, n)
     else:
         corners = np.where(rng.random((4096, n)) < 0.5, lo, hi)
-    corner_vals = 0.5 * np.einsum("ij,jk,ik->i", corners, Q, corners) + corners @ q
     inst_tmp = ProblemInstance(obj, L_f, A, b, Box(lo, hi), meta={"x_feas": x_feas})
     feas = _sample_feasible(inst_tmp, rng, 64)
-    feas_vals = [obj.value(x) for x in feas]
-    sampled_min = float(min(float(np.min(corner_vals)), min(feas_vals)))
+    with np.errstate(over="ignore", invalid="ignore"):   # a wide box: f_lower checked below
+        corner_vals = 0.5 * np.einsum("ij,jk,ik->i", corners, Q, corners) + corners @ q
+        feas_vals = [obj.value(x) for x in feas]
+        sampled_min = float(min(float(np.min(corner_vals)), min(feas_vals)))
     margin = 1.0 + 0.1 * abs(sampled_min)
     f_lower = sampled_min - margin
     if not np.isfinite(f_lower):

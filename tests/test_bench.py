@@ -212,13 +212,15 @@ def test_cli_gen_qp_invalid_sizes_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("box", [["--box-lo=-inf"], ["--box-lo=nan"],
                                  ["--box-lo=-1e308", "--box-hi=1e308"],
                                  ["--box-lo=-1e200", "--box-hi=1e200"]])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_cli_gen_qp_non_finite_box_exits_2(tmp_path, capsys, box):
     out = tmp_path / "qp.json"
     rc = main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1", "--seed", "0",
                "--out", str(out)] + box)
     assert rc == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("algo", ["sprox", "alm"])
@@ -229,6 +231,14 @@ def test_cli_solve_without_iterations_exits_2(tmp_path, capsys, algo, max_iters)
     rc = main(["solve", "--problem", str(problem), "--algo", algo, "--max-iters", max_iters])
     assert rc == 2
     assert capsys.readouterr().err.startswith("solver error: max_iters")
+
+
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_cli_solve_tolerance_must_be_positive(tmp_path, capsys, tol):
+    problem = tmp_path / "p.json"
+    save_instance(fixed_instance_1d(), problem)
+    assert main(["solve", "--problem", str(problem), "--tol", tol, "--max-iters", "5"]) == 2
+    assert capsys.readouterr().err.startswith("solver error: target_eps")
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +389,55 @@ def test_cli_malformed_problem_exits_3(tmp_path, capsys, data):
     for command in ("solve", "constants"):
         assert main([command, "--problem", str(path)]) == 3
         assert "cannot load problem file" in capsys.readouterr().err
+
+
+def _scaled_equalities(scale):
+    data = _small_problem()
+    return _with(A=[scale * a for a in data["A"]], b=[scale * v for v in data["b"]])
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("data", [_with(L_f=0.0), _with(L_f=-1.0), _with(L_f=1e308),
+                                  _scaled_equalities(1e160)],
+                         ids=["L_f=0", "L_f=-1", "L_f=1e308", "A*1e160"])
+def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    for command in ("constants", "solve"):
+        assert main([command, "--problem", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("solver error:")
+
+
+def test_cli_instance_without_equality_rows(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_with(m=0, A=[], b=[])))
+    for argv in (["constants"], ["constants", "--mode", "practical"],
+                 ["solve", "--max-iters", "50"],
+                 ["solve", "--max-iters", "50", "--monitor", "full"],
+                 ["solve", "--max-iters", "50", "--algo", "alm"],
+                 ["verify-eb", "--samples", "5"], ["trace-segment", "--grid", "101"]):
+        assert main(argv + ["--problem", str(path)]) == 0, argv
+        out = _strict_json(capsys.readouterr().out)
+        if argv[0] in ("constants", "solve"):
+            constants = out.get("constants", out)
+            assert constants["alpha_max"] is None and constants["sigma3"] is None
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_cli_plan_without_an_alpha_bound(tmp_path, capsys, scale):
+    # A = 0 has no alpha bound; for A scaled by 1e-170 it lies beyond float range
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_scaled_equalities(scale)))
+    for argv in (["constants"], ["solve", "--max-iters", "50"]):
+        assert main(argv + ["--problem", str(path)]) == 0, argv
+        out = _strict_json(capsys.readouterr().out)
+        assert out.get("constants", out)["alpha_max"] is None
 
 
 def test_cli_deeply_nested_files_exit_3(tmp_path, capsys):

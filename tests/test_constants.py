@@ -66,6 +66,17 @@ def test_box_fast_path_matches_general_path(seed):
     assert theta_fast == pytest.approx(hoffman_theta_exact(M), rel=1e-9)
 
 
+def test_box_fast_path_without_equality_rows():
+    # no equality rows: the k = 0 candidates are empty submatrices
+    for n in (1, 2, 4):
+        A = np.zeros((0, n))
+        G = np.vstack([np.eye(n), -np.eye(n)])
+        theta_fast, exact = hoffman_constant(A, G, exact_limit=3 * n)
+        assert exact
+        assert theta_fast == pytest.approx(hoffman_theta_exact(build_hoffman_matrix(A, G)),
+                                           rel=1e-9)
+
+
 def test_hoffman_row_permutation_invariance():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((2, 4))
@@ -122,18 +133,6 @@ def test_sigma4_is_two_thirds_at_default_p():
     assert rep.sigma4 == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert rep.sigma4 > 0.5
     assert rep.sigma2 == pytest.approx(rep.sigma1 / (1 + rep.sigma1), rel=1e-12)
-
-
-def test_override_at_bound_rejected():
-    inst = fixed_instance_1d()
-    with pytest.raises(ValueError):
-        plan_stepsizes(inst, "theoretical", overrides={"c": 0.2})
-
-
-def test_override_within_bound_accepted():
-    inst = fixed_instance_1d()
-    params, _ = plan_stepsizes(inst, "theoretical", overrides={"c": 0.1})
-    assert params.c == 0.1
 
 
 def test_practical_mode_flags_uncertified_beta():
