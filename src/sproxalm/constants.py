@@ -279,9 +279,10 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     theta_bar, sigma5_bar and beta_max as None with a warning.  A beta
     below machine epsilon is reported with a warning too.  With
     smax(A) = 0 there is no alpha bound, and sigma3 and alpha_max are
-    reported as None; alpha is 1 whenever alpha_max is not finite.  The
-    step sizes exist only for L_f > 0 and a finite
-    L = L_f + rho smax(A)^2 + p; otherwise ValueError.
+    reported as None, as they are whenever they overflow; alpha is 1
+    whenever alpha_max is not finite.  The step sizes exist only for
+    L_f > 0 and L = L_f + rho smax(A)^2 + p with L and 1/L finite;
+    otherwise ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -292,9 +293,9 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     p = 3.0 * L_f
     rho = L_f
     L = L_f + rho * smaxA ** 2 + p
-    if not (L_f > 0 and np.isfinite(L)):
-        raise ValueError(f"step sizes need L_f > 0 and a finite L = L_f + rho*smax(A)^2 + p "
-                         f"(got L_f = {L_f}, L = {L})")
+    if not (L_f > 0 and np.isfinite(L) and np.isfinite(1.0 / L)):
+        raise ValueError(f"step sizes need L_f > 0 and finite L and 1/L, where "
+                         f"L = L_f + rho*smax(A)^2 + p (got L_f = {L_f}, L = {L})")
     gamma_K = p - L_f
     c_max = 1.0 / L
     c = 0.99 * c_max
@@ -337,13 +338,14 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
 
     sigma1 = c * gamma_K
     sigma2 = sigma1 / (1.0 + sigma1)
+    sigma3 = gamma_K / smaxA if smaxA > 0 else np.inf
     sigma4 = gamma_K / p
     B1 = (1.0 + smaxA * (1.0 + c * gamma_K) / (c * gamma_K)) ** 2
     B2 = ((L_f + p + rho * smaxA ** 2 + 2.0 / c) + rho * smaxA * np.sqrt(B1) + p) ** 2
 
     report = ConstantsReport(
         sigma_max_A=smaxA, L_f=L_f, rho=rho, p=p, L=L, gamma_K=gamma_K,
-        sigma1=sigma1, sigma2=sigma2, sigma3=gamma_K / smaxA if smaxA > 0 else None,
+        sigma1=sigma1, sigma2=sigma2, sigma3=sigma3 if np.isfinite(sigma3) else None,
         sigma4=sigma4, theta_bar=theta_bar, theta_exact=theta_exact, sigma5_bar=sigma5_bar,
         c_max=c_max, alpha_max=alpha_max if np.isfinite(alpha_max) else None,
         beta_max=beta_max, B1=float(B1), B2=float(B2), mode=mode, warnings=warnings,

@@ -404,13 +404,14 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("data", [_with(L_f=0.0), _with(L_f=-1.0), _with(L_f=1e308),
-                                  _scaled_equalities(1e160)],
-                         ids=["L_f=0", "L_f=-1", "L_f=1e308", "A*1e160"])
+                                  _with(L_f=1e-320), _scaled_equalities(1e160)],
+                         ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160"])
 def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data):
+    # for a subnormal L_f, L is finite but c = 0.99/L is not
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
-    for command in ("constants", "solve"):
-        assert main([command, "--problem", str(path)]) == 2
+    for argv in (["constants"], ["constants", "--mode", "practical"], ["solve"]):
+        assert main(argv + ["--problem", str(path)]) == 2, argv
         assert capsys.readouterr().err.startswith("solver error:")
 
 
@@ -429,15 +430,22 @@ def test_cli_instance_without_equality_rows(tmp_path, capsys):
             assert constants["alpha_max"] is None and constants["sigma3"] is None
 
 
-@pytest.mark.parametrize("scale", [0.0, 1e-170])
-def test_cli_plan_without_an_alpha_bound(tmp_path, capsys, scale):
-    # A = 0 has no alpha bound; for A scaled by 1e-170 it lies beyond float range
+@pytest.mark.parametrize("scale, L_f, sigma3_bound", [(0.0, None, False), (1e-170, None, True),
+                                                     (1e-170, 1e140, False)])
+def test_cli_plan_without_an_alpha_bound(tmp_path, capsys, scale, L_f, sigma3_bound):
+    # A = 0 has no alpha bound; for A scaled by 1e-170 it lies beyond float range,
+    # and with L_f = 1e140 so does sigma3 = gamma_K / smax(A)
+    data = _scaled_equalities(scale)
+    if L_f is not None:
+        data["L_f"] = L_f
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(_scaled_equalities(scale)))
+    path.write_text(json.dumps(data))
     for argv in (["constants"], ["solve", "--max-iters", "50"]):
         assert main(argv + ["--problem", str(path)]) == 0, argv
         out = _strict_json(capsys.readouterr().out)
-        assert out.get("constants", out)["alpha_max"] is None
+        constants = out.get("constants", out)
+        assert constants["alpha_max"] is None
+        assert (constants["sigma3"] is not None) == sigma3_bound
 
 
 def test_cli_deeply_nested_files_exit_3(tmp_path, capsys):
