@@ -28,8 +28,9 @@ EXIT_IO = 3
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    """Write obj as strict JSON; a non-finite float raises ValueError before
+    anything is written."""
+    sys.stdout.write(json.dumps(obj, indent=1, allow_nan=False) + "\n")
 
 
 class _LoadError(Exception):

@@ -250,9 +250,17 @@ class ConstantsReport:
         return asdict(self)
 
 
+def _square(value: float, name: str) -> float:
+    """value ** 2; beyond float range, an OverflowError naming the square."""
+    try:
+        return value ** 2
+    except OverflowError:
+        raise OverflowError(f"{name} = ({value:.3g})^2 is beyond float range") from None
+
+
 def sigma5_from_theta(theta_bar: float, L: float, gamma: float) -> float:
     """Global dual error-bound constant sqrt(2)(theta*L^2 + 1)/gamma."""
-    return float(np.sqrt(2.0) * (theta_bar * L ** 2 + 1.0) / gamma)
+    return float(np.sqrt(2.0) * (theta_bar * _square(L, "L^2") + 1.0) / gamma)
 
 
 def dual_error_bound_constant(inst: ProblemInstance, L: float, gamma: float,
@@ -292,7 +300,8 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     smaxA = inst.sigma_max_A
     p = 3.0 * L_f
     rho = L_f
-    L = L_f + rho * smaxA ** 2 + p
+    smaxA2 = _square(smaxA, "smax(A)^2")
+    L = L_f + rho * smaxA2 + p
     if not (L_f > 0 and np.isfinite(L) and np.isfinite(1.0 / L)):
         raise ValueError(f"step sizes need L_f > 0 and finite L and 1/L, where "
                          f"L = L_f + rho*smax(A)^2 + p (got L_f = {L_f}, L = {L})")
@@ -300,7 +309,7 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     c_max = 1.0 / L
     c = 0.99 * c_max
 
-    alpha_max = c * gamma_K ** 2 / (4.0 * smaxA ** 2) if smaxA ** 2 > 0 else np.inf
+    alpha_max = c * _square(gamma_K, "gamma_K^2") / (4.0 * smaxA2) if smaxA2 > 0 else np.inf
     alpha = (0.99 if mode == "theoretical" else 0.9) * alpha_max
     if not np.isfinite(alpha):
         alpha = 1.0
@@ -313,7 +322,7 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     if mode == "theoretical" or inst.n + G.shape[0] <= exact_limit:
         theta_bar, theta_exact, sigma5_bar = dual_error_bound_constant(
             inst, L, gamma_K, exact_limit=exact_limit, rng_seed=rng_seed)
-        beta_max = float(min(1.0 / 30.0, alpha / (12.0 * p * sigma5_bar ** 2)))
+        beta_max = float(min(1.0 / 30.0, alpha / (12.0 * p * _square(sigma5_bar, "sigma5_bar^2"))))
 
     if mode == "theoretical":
         if not theta_exact:
@@ -340,8 +349,8 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     sigma2 = sigma1 / (1.0 + sigma1)
     sigma3 = gamma_K / smaxA if smaxA > 0 else np.inf
     sigma4 = gamma_K / p
-    B1 = (1.0 + smaxA * (1.0 + c * gamma_K) / (c * gamma_K)) ** 2
-    B2 = ((L_f + p + rho * smaxA ** 2 + 2.0 / c) + rho * smaxA * np.sqrt(B1) + p) ** 2
+    B1 = _square(1.0 + smaxA * (1.0 + c * gamma_K) / (c * gamma_K), "B1")
+    B2 = _square((L_f + p + rho * smaxA2 + 2.0 / c) + rho * smaxA * np.sqrt(B1) + p, "B2")
 
     report = ConstantsReport(
         sigma_max_A=smaxA, L_f=L_f, rho=rho, p=p, L=L, gamma_K=gamma_K,

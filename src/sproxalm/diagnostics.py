@@ -19,9 +19,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 from .constants import SolverParams, sigma5_from_theta
-from .exceptions import (ConvergenceError, DegenerateActiveSetError,
-                         InfeasibleError, StepMismatchError)
-from .oracles import project_polyhedron_exact, solve_qp_active_set
+from .exceptions import ConvergenceError, StepMismatchError
 from .problem import ProblemInstance, QuadraticObjective
 from .projection import StronglyConvexQP
 from .solvers import (IterateState, K_value, _smoothed_step, inner_minimize_K, prox_qp,
@@ -244,9 +242,10 @@ class ErrorBoundReport:
     worst: ErrorBoundSample | None = None
 
     def to_dict(self) -> dict:
+        """The report as JSON values; a non-finite max_ratio is None."""
         return {
             "samples": self.samples,
-            "max_ratio": self.max_ratio,
+            "max_ratio": self.max_ratio if np.isfinite(self.max_ratio) else None,
             "bound": self.bound,
             "pass": self.passed,
             "skipped": self.skipped,
@@ -413,17 +412,11 @@ class SegmentTrace:
         return {pt.active for pt in self.grid}
 
 
-def _quadratic_parts(inst: ProblemInstance):
-    obj = inst.objective
-    H = 0.5 * (obj.Q + obj.Q.T)
-    return H, obj.q
-
-
 def regularized_quadratic_instance(inst: ProblemInstance, params: SolverParams,
                                    z) -> ProblemInstance:
     """Strongly convex quadratic g = f + (rho/2)||Ax-b||^2 + (p/2)||x-z||^2
     packaged as a new instance over the same constraint system."""
-    H, q = _quadratic_parts(inst)
+    H, q = inst.objective.Q, inst.objective.q
     z = np.asarray(z, dtype=float)
     A, b = inst.eq_matrix, inst.eq_rhs
     Hg = H + params.rho * (A.T @ A) + params.p * np.eye(inst.n)
@@ -447,15 +440,19 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     convex quadratic instance and certify its piecewise structure.
 
     r_tilde = A x(y_tilde) - b where x(y_tilde) minimizes the Lagrangian
-    over P.  Every grid point is solved exactly by active-set
-    enumeration; breakpoints (active-set changes) are localized by
-    bisection to 1e-8; adjacent grid points sharing an active
-    set are checked against the per-segment Lipschitz bound with
-    sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma.
+    over P.  Every grid point s is one exact solve of the instance's QP
+    with right-hand side b + s r_tilde, all from one factorisation; a
+    point's active set is its rows with (Gx - h)_j >= -1e-9 (1 + max|h|).
+    The point s = 1 is x(y_tilde) itself, which solves that QP.
+    Breakpoints (active-set changes) are localized by bisection to 1e-8;
+    adjacent grid points sharing an active set are checked against the
+    per-segment Lipschitz bound with sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma,
+    where theta_bar is exact, which limits n and the rows l of P to 12.
+    A point whose shifted feasible set is empty raises InfeasibleError.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    H, q = _quadratic_parts(g_inst)
+    H, q = g_inst.objective.Q, g_inst.objective.q
     ev = np.linalg.eigvalsh(H)
     if ev[0] <= 0:
         raise ValueError("segment tracing requires a strongly convex quadratic")
@@ -463,7 +460,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     A, b = g_inst.eq_matrix, g_inst.eq_rhs
     G, h = g_inst.polyhedron.as_halfspaces()
     if g_inst.n > 12 or G.shape[0] > 12:
-        raise ValueError("segment tracing is a brute-force path: need n <= 12, l <= 12")
+        raise ValueError("segment tracing computes theta exactly: need n <= 12, l <= 12")
     y_tilde = np.asarray(y_tilde, dtype=float)
 
     from .constants import hoffman_constant
@@ -472,25 +469,22 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     sigma5 = sigma5_from_theta(theta_bar, L, gamma)
 
     # x(y_tilde): minimize g + y'(Ax-b) over P (no equality constraint)
-    sol_free = solve_qp_active_set(H, q + A.T @ y_tilde, None, None, G, h)
-    r_tilde = A @ sol_free.x - b
+    x_free, _, mu_free = StronglyConvexQP(H, [], [], G, h).solve(q + A.T @ y_tilde)
+    r_tilde = A @ x_free - b
+    qp = StronglyConvexQP(H, A, b, G, h)
+    active_tol = 1e-9 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
 
-    def solve_at(s, warm=None):
-        try:
-            sol = solve_qp_active_set(H, q, A, b + s * r_tilde, G, h, try_first=warm)
-        except InfeasibleError as exc:
-            raise DegenerateActiveSetError(
-                f"no valid active set at s={s}", grid_point=s) from exc
-        return SegmentPoint(s=float(s), x=sol.x, y=sol.y, mu=sol.mu,
-                            active=sol.geometry_active)
+    def point(s, x, y, mu):
+        active = frozenset(np.flatnonzero(G @ x - h >= -active_tol).tolist())
+        return SegmentPoint(s=float(s), x=x, y=y, mu=mu, active=active)
 
-    ss = np.linspace(0.0, 1.0, grid_size)
-    pts = []
-    warm = None
-    for s in ss:
-        pt = solve_at(s, warm)
-        warm = tuple(sorted(pt.active))
-        pts.append(pt)
+    def solve_at(s):
+        return point(s, *qp.solve(q, b + s * r_tilde))
+
+    # s = 1 is x(y_tilde) with multipliers (y_tilde, mu): solved afresh, its
+    # feasible set may be one boundary point of P, which roundoff can miss
+    pts = [solve_at(s) for s in np.linspace(0.0, 1.0, grid_size)[:-1]]
+    pts.append(point(1.0, x_free, y_tilde, mu_free))
 
     # refine each active-set change to its first switch point by bisection
     breakpoints = []
@@ -500,8 +494,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
         lo_s, hi_s = a.s, bpt.s
         while hi_s - lo_s > 1e-8:
             mid = 0.5 * (lo_s + hi_s)
-            mid_pt = solve_at(mid, tuple(sorted(a.active)))
-            if mid_pt.active == a.active:
+            if solve_at(mid).active == a.active:
                 lo_s = mid
             else:
                 hi_s = mid
@@ -538,30 +531,22 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
 def multiplier_set_distance(g_inst: ProblemInstance, point_y, point_mu, r,
                             x_star, active) -> float:
     """Distance from (y', mu') to the multiplier set of the r-shifted
-    problem at its solution x*(r), solved as an exact projection.
+    problem at its solution x*(r), computed exactly.
 
     The multiplier set is {(y, mu) : A'y + G'mu = -grad g(x*(r)),
-    mu >= 0, mu_j = 0 off the active rows of x*(r)}.
+    mu >= 0, mu_j = 0 off the active rows of x*(r)}; the nearest point of
+    it to w = (y', mu') is one least-distance solve, as in
+    ``verify_hoffman``.  An empty set raises InfeasibleError.  r enters
+    only through x_star and active.
     """
-    H, q = _quadratic_parts(g_inst)
-    G, h = g_inst.polyhedron.as_halfspaces()
+    G, _h = g_inst.polyhedron.as_halfspaces()
     A = g_inst.eq_matrix
-    n, m, l = g_inst.n, g_inst.m, G.shape[0]
-    grad = H @ x_star + q
-    # variables w = (y, mu) in R^{m+l}
-    eq_rows = [np.concatenate([A[:, j], G[:, j]]) for j in range(n)]
-    C2 = np.array(eq_rows) if eq_rows else np.zeros((0, m + l))
-    b2 = -grad
-    inactive = [j for j in range(l) if j not in active]
-    for j in inactive:
-        row = np.zeros(m + l)
-        row[m + j] = 1.0
-        C2 = np.vstack([C2, row])
-        b2 = np.concatenate([b2, [0.0]])
-    C1 = np.zeros((len(active), m + l))
-    for i, j in enumerate(sorted(active)):
-        C1[i, m + j] = -1.0  # -mu_j <= 0
-    b1 = np.zeros(len(active))
+    m, l = g_inst.m, G.shape[0]
+    # variables w = (y, mu) in R^{m+l}; eye[m:] selects mu
+    eye = np.eye(m + l)
+    on = np.isin(np.arange(l), list(active))
+    C2 = np.vstack([np.hstack([A.T, G.T]), eye[m:][~on]])   # stationarity; mu_j = 0 off
+    b2 = np.concatenate([-g_inst.grad_f(x_star), np.zeros(l - on.sum())])
     w = np.concatenate([point_y, point_mu])
-    _, dist = project_polyhedron_exact(C1, b1, C2, b2, w)
-    return dist
+    nearest, _, _ = StronglyConvexQP(eye, C2, b2, -eye[m:][on], np.zeros(on.sum())).solve(-w)
+    return float(np.linalg.norm(nearest - w))

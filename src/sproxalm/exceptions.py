@@ -34,13 +34,5 @@ class InfeasibleError(ValueError):
     """A constraint system required to be nonempty has no feasible point."""
 
 
-class DegenerateActiveSetError(RuntimeError):
-    """No active set yields valid multipliers at a requested point."""
-
-    def __init__(self, message, grid_point=None):
-        super().__init__(message)
-        self.grid_point = grid_point
-
-
 class StepMismatchError(ValueError):
     """A state pair fails the one-step precondition of a certificate."""

@@ -1,9 +1,11 @@
-"""Exact small-scale solvers used as independent oracles.
+"""Exact small-scale solvers: reference solvers for tests, and the exact
+box lower bound.
 
 Everything here enumerates combinatorial structure (active sets, box
 faces) and solves dense KKT systems, so it is exact up to linear-algebra
-roundoff but only viable at desk scale.  These routines double as test
-oracles for the iterative paths and as the engine of the segment tracer.
+roundoff but only viable at desk scale.  The program's own QPs go through
+``projection.StronglyConvexQP``; the active-set enumerator is the
+independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ class ExactQpSolution:
     y: np.ndarray       # equality multipliers
     mu: np.ndarray      # inequality multipliers, full length, zeros off the active set
     active: frozenset   # activation pattern used by the KKT solve
-    geometry_active: frozenset  # rows with (Gx - h)_j ~ 0 at the solution
     value: float
 
 
-def solve_qp_active_set(H, c, A, b, G, h, try_first=None) -> ExactQpSolution:
+def solve_qp_active_set(H, c, A, b, G, h) -> ExactQpSolution:
     """Exact minimizer of 0.5 x'Hx + c'x over {Ax = b, Gx <= h}, H positive definite.
 
-    Enumerates active subsets of the inequality rows, solving each
-    equality-constrained KKT system and accepting the first candidate
-    that is primal feasible with nonnegative multipliers.  ``try_first``
-    orders a candidate active set ahead of the enumeration (warm start
-    across nearby problems).
+    Enumerates active subsets of the inequality rows by size, solving
+    each equality-constrained KKT system and accepting the first candidate
+    that is primal feasible with nonnegative multipliers.  The reference
+    that ``projection.StronglyConvexQP`` is tested against: its cost grows
+    as 2^l, and it rejects every singular KKT system, so dependent
+    equality rows leave it without a solution.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -48,7 +50,7 @@ def solve_qp_active_set(H, c, A, b, G, h, try_first=None) -> ExactQpSolution:
     h_scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
 
     def try_active(S):
-        S = sorted(S)
+        S = list(S)
         k = len(S)
         GS = G[S]
         KKT = np.zeros((n + m + k, n + m + k))
@@ -76,25 +78,14 @@ def solve_qp_active_set(H, c, A, b, G, h, try_first=None) -> ExactQpSolution:
             return None
         mu = np.zeros(l)
         mu[S] = np.maximum(muS, 0.0)
-        geo = (frozenset(np.flatnonzero(G @ x - h >= -_TOL * h_scale).tolist()) if l
-               else frozenset())
         val = 0.5 * float(x @ (H @ x)) + float(c @ x)
-        return ExactQpSolution(x=x, y=y, mu=mu, active=frozenset(S),
-                               geometry_active=geo, value=val)
+        return ExactQpSolution(x=x, y=y, mu=mu, active=frozenset(S), value=val)
 
-    candidates = []
-    if try_first is not None:
-        candidates.append(tuple(sorted(try_first)))
     for k in range(l + 1):
-        candidates.extend(combinations(range(l), k))
-    seen = set()
-    for S in candidates:
-        if S in seen:
-            continue
-        seen.add(S)
-        out = try_active(S)
-        if out is not None:
-            return out
+        for S in combinations(range(l), k):
+            out = try_active(S)
+            if out is not None:
+                return out
     raise InfeasibleError("no active set yields a feasible KKT point; system may be infeasible")
 
 

@@ -27,6 +27,8 @@ _EPS = np.finfo(float).eps
 class QuadraticObjective:
     """f(x) = 0.5 x'Qx + q'x + offset with gradient Qx + q.
 
+    f reads only the symmetric part of Q, so a square Q is stored as
+    (Q + Q')/2 whenever Q != Q'; that keeps Qx + q the gradient of f.
     Q may be indefinite; the tight gradient Lipschitz constant is the
     spectral norm of Q.
     """
@@ -37,6 +39,8 @@ class QuadraticObjective:
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
+        if self.Q.shape == self.Q.T.shape and not np.array_equal(self.Q, self.Q.T):
+            self.Q = 0.5 * self.Q + 0.5 * self.Q.T   # no overflow in the sum
         self.q = np.asarray(self.q, dtype=float)
         self.offset = float(self.offset)
 

@@ -42,15 +42,15 @@ def project(P: Polyhedron, x: np.ndarray) -> ProjectionResult:
 
 class StronglyConvexQP:
     """Exact solver of  min 0.5 x'Hx + c'x  s.t.  Ax = b, Gx <= h  for one
-    constraint system and many linear terms c; H must be positive
-    definite on the null space of A.
+    constraint matrix pair (A, G) and many linear terms c and equality
+    right-hand sides b; H must be positive definite on the null space of A.
 
-    Ax = b is eliminated through the SVD of A: x = x0 + N w, with N an
-    orthonormal basis of null(A).  The reduced Hessian N'HN = LL' is
-    factored once.  With T = L^{-1}N', the substitution u = L'w + T(Hx0 + c)
-    turns each solve into the least-distance problem min ||u|| s.t.
-    E u <= f, E = GT', which is one nonnegative least-squares problem
-    (Lawson & Hanson, Solving Least Squares Problems, ch. 23).
+    Ax = b is eliminated through the SVD of A: x = x0 + N w, with x0 = A^+ b
+    and N an orthonormal basis of null(A).  The reduced Hessian N'HN = LL'
+    is factored once.  With T = L^{-1}N', the substitution
+    u = L'w + T(Hx0 + c) turns each solve into the least-distance problem
+    min ||u|| s.t. E u <= f, E = GT', which is one nonnegative least-squares
+    problem (Lawson & Hanson, Solving Least Squares Problems, ch. 23).
     Empty feasible sets raise InfeasibleError.
     """
 
@@ -61,28 +61,34 @@ class StronglyConvexQP:
         n = H.shape[0]
         A = np.asarray(A, dtype=float).reshape(-1, n)
         G = np.asarray(G, dtype=float).reshape(-1, n)
-        b = np.asarray(b, dtype=float).reshape(-1)
         U, s, Vt = np.linalg.svd(A)
         r = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0])) if s.size else 0
         self._A_pinv = (Vt[:r].T / s[:r]) @ U[:, :r].T
-        x0 = self._A_pinv @ b
-        if np.linalg.norm(A @ x0 - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
-            raise InfeasibleError("the equality system Ax = b is inconsistent")
         N = Vt[r:].T
         self._T = solve_triangular(np.linalg.cholesky(N.T @ H @ N), N.T, lower=True)
         self._Et = self._T @ G.T   # E'
         self._M = np.vstack([-self._Et, np.zeros(G.shape[0])])   # last row: -f'/s per solve
-        self._x0, self._t0 = x0, self._T @ (H @ x0)
-        self._f0 = np.asarray(h, dtype=float).reshape(-1) - G @ x0
-        self._H, self._G = H, G
+        self._H, self._A, self._G = H, A, G
+        self._h = np.asarray(h, dtype=float).reshape(-1)
+        self._shifted = self._shift(b)
 
-    def solve(self, c):
-        """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0."""
+    def _shift(self, b):
+        """(x0, T H x0, h - G x0) for the right-hand side b, x0 = A^+ b."""
+        b = np.asarray(b, dtype=float).reshape(-1)
+        x0 = self._A_pinv @ b
+        if np.linalg.norm(self._A @ x0 - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
+            raise InfeasibleError("the equality system Ax = b is inconsistent")
+        return x0, self._T @ (self._H @ x0), self._h - self._G @ x0
+
+    def solve(self, c, b=None):
+        """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0, for the
+        equality right-hand side b (by default the one given at construction)."""
         from scipy.optimize import nnls   # imported on use: box solves never load scipy
 
+        x0, t0, f0 = self._shifted if b is None else self._shift(b)
         c = np.asarray(c, dtype=float)
-        t = self._t0 + self._T @ c
-        f = self._f0 + self._Et.T @ t
+        t = t0 + self._T @ c
+        f = f0 + self._Et.T @ t
         mu = np.zeros(f.shape[0])
         u = np.zeros(t.shape[0])
         if f.size and f.min() < 0.0:   # else u = 0 is feasible and optimal
@@ -100,6 +106,6 @@ class StronglyConvexQP:
                 raise InfeasibleError("the inequality system Gx <= h misses the affine set Ax = b")
             mu = (scale / denom) * v
             u = -self._Et @ mu
-        x = self._x0 + self._T.T @ (u - t)
+        x = x0 + self._T.T @ (u - t)
         y = -self._A_pinv.T @ (self._H @ x + c + self._G.T @ mu)
         return x, y, mu

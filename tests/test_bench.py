@@ -403,16 +403,24 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("data", [_with(L_f=0.0), _with(L_f=-1.0), _with(L_f=1e308),
-                                  _with(L_f=1e-320), _scaled_equalities(1e160)],
-                         ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160"])
-def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data):
-    # for a subnormal L_f, L is finite but c = 0.99/L is not
+_NO_STEP_SIZES = "step sizes need L_f > 0 and finite L and 1/L"
+
+
+@pytest.mark.parametrize("data, message", [
+    (_with(L_f=0.0), _NO_STEP_SIZES), (_with(L_f=-1.0), _NO_STEP_SIZES),
+    (_with(L_f=1e308), _NO_STEP_SIZES), (_with(L_f=1e-320), _NO_STEP_SIZES),
+    (_scaled_equalities(1e160), "smax(A)^2 = (1e+160)^2 is beyond float range"),
+    (_with(L_f=1e200), "gamma_K^2 = (2e+200)^2 is beyond float range"),
+], ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160", "L_f=1e200"])
+def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data, message):
+    # for a subnormal L_f, L is finite but c = 0.99/L is not; past float range
+    # the message names the square that overflowed
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
     for argv in (["constants"], ["constants", "--mode", "practical"], ["solve"]):
         assert main(argv + ["--problem", str(path)]) == 2, argv
-        assert capsys.readouterr().err.startswith("solver error:")
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and message in err, err
 
 
 def test_cli_instance_without_equality_rows(tmp_path, capsys):
@@ -446,6 +454,47 @@ def test_cli_plan_without_an_alpha_bound(tmp_path, capsys, scale, L_f, sigma3_bo
         constants = out.get("constants", out)
         assert constants["alpha_max"] is None
         assert (constants["sigma3"] is not None) == sigma3_bound
+
+
+def test_cli_trace_segment_without_an_equality_row(tmp_path, capsys):
+    # with A = 0, b = 0 every KKT matrix is singular; the tracer's QP
+    # eliminates Ax = b by rank
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_scaled_equalities(0.0)))
+    assert main(["trace-segment", "--problem", str(path), "--grid", "101"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["pass"] is True and out["residual_norm"] == 0.0 and out["breakpoints"] == []
+
+
+def test_cli_verify_eb_reports_an_unbounded_ratio_as_null(tmp_path, capsys):
+    # A scaled by 1e-170: theta_bar reads the A block as zero and every
+    # ratio divides by an underflowed residual
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_scaled_equalities(1e-170)))
+    assert main(["verify-eb", "--problem", str(path), "--samples", "5"]) == 1
+    out = _strict_json(capsys.readouterr().out)
+    assert out["max_ratio"] is None and out["pass"] is False
+
+
+def test_cli_emit_writes_nothing_for_non_finite_values(capsys):
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli._emit({"ok": 1.0, "bad": [value]})
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_asymmetric_q_solves_as_its_symmetric_part(tmp_path, capsys):
+    # f reads only the symmetric part of Q; the gradient must too
+    data = instance_to_dict(generate_nonconvex_qp(n=4, m=1, neg_eigs=1, rng_seed=3))
+    Q = np.array(data["Q"]).reshape(4, 4)
+    Q[2, 3] += 0.7
+    outputs = []
+    for name, Qf in (("asym", Q), ("sym", 0.5 * Q + 0.5 * Q.T)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(data, Q=Qf.ravel().tolist())))
+        assert main(["solve", "--problem", str(path), "--tol", "1e-9"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_deeply_nested_files_exit_3(tmp_path, capsys):

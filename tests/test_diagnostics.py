@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -13,7 +13,8 @@ from sproxalm.diagnostics import (MonitorContext, certificate_from_step,
                                   verify_dual_error_bound, verify_hoffman)
 from sproxalm import diagnostics
 from sproxalm.exceptions import ConvergenceError, StepMismatchError
-from sproxalm.oracles import enumerate_kkt_points, project_polyhedron_exact
+from sproxalm.oracles import (enumerate_kkt_points, project_polyhedron_exact,
+                              solve_qp_active_set)
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d)
 from sproxalm.projection import project
@@ -462,6 +463,39 @@ def test_segment_box_instance_with_breakpoint():
     # triangle composition across the whole path
     total = sum(np.linalg.norm(b.x - a.x) for a, b in zip(seg.grid[:-1], seg.grid[1:]))
     assert np.linalg.norm(seg.grid[-1].x - seg.grid[0].x) <= total + 1e-12
+
+
+def _segment_case(seed):
+    """A small box or halfspace instance, regularized at its feasible point,
+    and a multiplier y_tilde."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, n))
+    if seed % 2:
+        inst = make_box_instance(n, m, 1, seed)
+    else:
+        inst = make_general_instance(n, m, int(rng.integers(1, 5)), neg_eigs=1, seed=seed)
+    L_f = inst.lipschitz_grad
+    params = SolverParams(rho=L_f, p=3.0 * L_f, c=0.1 / L_f, alpha=0.1, beta=0.01)
+    g = regularized_quadratic_instance(inst, params, inst.meta["x_feas"])
+    return g, 10.0 ** rng.uniform(0.0, 2.0) * rng.standard_normal(m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.integers(0, 10_000).map(_segment_case))
+# x(y_tilde) at a box vertex: the QP at s = 1 is feasible only to roundoff
+@example(case=_segment_case(77))
+def test_segment_points_match_active_set_reference(case):
+    g, y_tilde = case
+    seg = trace_segment_decomposition(g, y_tilde, grid_size=11)
+    Q, q = g.objective.Q, g.objective.q
+    A, b = g.eq_matrix, g.eq_rhs
+    G, h = g.polyhedron.as_halfspaces()
+    active_tol = 1e-9 * (1.0 + np.max(np.abs(h)))
+    for pt in seg.grid:
+        ref = solve_qp_active_set(Q, q, A, b + pt.s * seg.r_tilde, G, h)
+        assert np.allclose(pt.x, ref.x, rtol=0.0, atol=1e-9)
+        assert pt.active == frozenset(np.flatnonzero(G @ ref.x - h >= -active_tol).tolist())
 
 
 def test_segment_multiplier_set_distance_bound():

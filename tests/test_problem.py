@@ -117,6 +117,16 @@ def test_sampled_lipschitz_ratio_never_exceeds_spectral_norm(seed):
     assert rep.lipschitz_ok
 
 
+def test_objective_stores_the_symmetric_part_of_q():
+    Q = np.array([[1.0, 2.0], [0.0, 3.0]])
+    obj = QuadraticObjective(Q, np.zeros(2))
+    assert np.array_equal(obj.Q, [[1.0, 1.0], [1.0, 3.0]])
+    x = np.array([0.3, -0.7])
+    assert obj.value(x) == pytest.approx(0.5 * x @ Q @ x, abs=1e-15)
+    sym = np.array([[2.0, 0.1], [0.1, 1.0]])
+    assert QuadraticObjective(sym, np.zeros(2)).Q is sym
+
+
 def test_box_requires_ordered_bounds():
     with pytest.raises(ValueError):
         Box(np.array([1.0]), np.array([0.0]))

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sproxalm.exceptions import InfeasibleError
 from sproxalm.oracles import project_polyhedron_exact
 from sproxalm.problem import Box, Halfspaces
-from sproxalm.projection import project
+from sproxalm.projection import StronglyConvexQP, project
 
 
 def test_box_clamp_example():
@@ -99,3 +100,25 @@ def test_kkt_residual_contract():
     assert np.all(res.dual_multipliers >= 0)
     s = np.sum(np.abs(res.dual_multipliers * (P.G @ res.point - P.h)))
     assert s <= tol
+
+
+def test_strongly_convex_qp_takes_the_equality_rhs_per_solve():
+    # solve(c, b) is the solve of a QP built with that b; A has a dependent
+    # row, so only b in its range is consistent
+    rng = np.random.default_rng(11)
+    n = 5
+    R = rng.standard_normal((n, n))
+    H = R @ R.T + np.eye(n)
+    A = rng.standard_normal((2, n))
+    A = np.vstack([A, A[0] + 2.0 * A[1]])
+    G = rng.standard_normal((4, n))
+    h = G @ rng.standard_normal(n) + 0.2
+    x_feas = rng.standard_normal(n) * 0.1
+    qp = StronglyConvexQP(H, A, A @ x_feas, G, h)
+    for _ in range(10):
+        c = rng.standard_normal(n) * 3
+        b = A @ (x_feas + 0.1 * rng.standard_normal(n))
+        for got, want in zip(qp.solve(c, b), StronglyConvexQP(H, A, b, G, h).solve(c)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    with pytest.raises(InfeasibleError):
+        qp.solve(np.zeros(n), A @ x_feas + np.array([0.0, 0.0, 1.0]))
