@@ -11,15 +11,14 @@ from .diagnostics import (StationarityReport, certificate_from_step,
                           verify_hoffman)
 from .problem import (Box, Halfspaces, ProblemInstance, QuadraticObjective,
                       fixed_instance_1d, generate_nonconvex_qp, load_instance,
-                      save_instance, validate_instance)
+                      save_instance)
 from .projection import ProjectionResult, project
 from .solvers import (IterateState, SproxResult, Trace, alm_run, inner_minimize_K,
                       solve_constrained_strongly_convex, sprox_alm_run, sprox_alm_step)
 
 __all__ = [
     "Box", "Halfspaces", "ProblemInstance", "QuadraticObjective",
-    "fixed_instance_1d", "generate_nonconvex_qp", "validate_instance",
-    "load_instance", "save_instance",
+    "fixed_instance_1d", "generate_nonconvex_qp", "load_instance", "save_instance",
     "ProjectionResult", "project",
     "ConstantsReport", "SolverParams", "hoffman_constant", "plan_stepsizes",
     "sigma5_from_theta",

@@ -290,7 +290,9 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     reported as None, as they are whenever they overflow; alpha is 1
     whenever alpha_max is not finite.  The step sizes exist only for
     L_f > 0 and L = L_f + rho smax(A)^2 + p with L and 1/L finite;
-    otherwise ValueError.
+    otherwise ValueError.  ValueError too when the declared L_f is below
+    ||Q||_2 (up to 1e-12 relative), or when an exact or certified f_lower
+    lies above f(x_feas) by more than 1e-9 (1 + |f(x_feas)|).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -305,6 +307,18 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     if not (L_f > 0 and np.isfinite(L) and np.isfinite(1.0 / L)):
         raise ValueError(f"step sizes need L_f > 0 and finite L and 1/L, where "
                          f"L = L_f + rho*smax(A)^2 + p (got L_f = {L_f}, L = {L})")
+    # the generators declare max|eigenvalue|, which eigvalsh may put ~1e-15 above
+    norm_Q = float(np.max(np.abs(np.linalg.eigvalsh(inst.objective.Q)), initial=0.0))
+    if not L_f >= norm_Q * (1.0 - 1e-12):
+        raise ValueError(f"the declared L_f = {L_f} is below ||Q||_2 = {norm_Q}, "
+                         "the Lipschitz constant of grad f")
+    x_feas = inst.meta.get("x_feas")
+    if (x_feas is not None and inst.lower_bound is not None
+            and inst.lower_bound_kind in ("exact", "certified")):
+        f_feas = inst.f(np.asarray(x_feas, dtype=float))
+        if f_feas < inst.lower_bound - 1e-9 * (1.0 + abs(f_feas)):
+            raise ValueError(f"the {inst.lower_bound_kind} f_lower = {inst.lower_bound} "
+                             f"is above f(x_feas) = {f_feas}")
     gamma_K = p - L_f
     c_max = 1.0 / L
     c = 0.99 * c_max

@@ -528,16 +528,16 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
                         max_segment_ratio=max_ratio, telescoped_sum=telescoped)
 
 
-def multiplier_set_distance(g_inst: ProblemInstance, point_y, point_mu, r,
+def multiplier_set_distance(g_inst: ProblemInstance, point_y, point_mu,
                             x_star, active) -> float:
-    """Distance from (y', mu') to the multiplier set of the r-shifted
-    problem at its solution x*(r), computed exactly.
+    """Distance from (y', mu') to the multiplier set of a shifted problem
+    at its solution x*, computed exactly; the shift enters only through
+    x_star and its active rows.
 
-    The multiplier set is {(y, mu) : A'y + G'mu = -grad g(x*(r)),
-    mu >= 0, mu_j = 0 off the active rows of x*(r)}; the nearest point of
+    The multiplier set is {(y, mu) : A'y + G'mu = -grad g(x*),
+    mu >= 0, mu_j = 0 off the active rows of x*}; the nearest point of
     it to w = (y', mu') is one least-distance solve, as in
-    ``verify_hoffman``.  An empty set raises InfeasibleError.  r enters
-    only through x_star and active.
+    ``verify_hoffman``.  An empty set raises InfeasibleError.
     """
     G, _h = g_inst.polyhedron.as_halfspaces()
     A = g_inst.eq_matrix

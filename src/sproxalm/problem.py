@@ -1,4 +1,4 @@
-"""Problem instances: objectives, polyhedral feasible sets, validation, generators.
+"""Problem instances: objectives, polyhedral feasible sets, generators, JSON I/O.
 
 The problem class is
 
@@ -6,7 +6,9 @@ The problem class is
 
 with P either an axis-aligned box (possibly unbounded) or a general
 halfspace system ``G x <= h``.  Objectives expose value and gradient
-oracles plus a declared Lipschitz constant of the gradient.
+oracles plus a declared Lipschitz constant of the gradient.  The loader
+checks a file's form; the step-size planner checks the declared L_f
+against ||Q||_2 and an exact or certified f_lower against f(x_feas).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 
-_EPS = np.finfo(float).eps
+LOWER_BOUND_KINDS = ("exact", "certified", "estimate")
 
 
 @dataclass
@@ -194,57 +196,17 @@ class ProblemInstance:
             )
 
 
-@dataclass
-class ValidationReport:
-    n: int
-    m: int
-    l: int
-    lipschitz_declared: float
-    lipschitz_max_sampled_ratio: float
-    lipschitz_ok: bool
-    min_sampled_f: float | None
-    lower_bound: float | None
-    lower_bound_consistent: bool | None
-    samples: int
-
-
-def _sample_in_polyhedron(inst: ProblemInstance, rng: np.random.Generator, count: int):
-    """Deterministic sample of points in P (clip/project Gaussian draws)."""
-    P = inst.polyhedron
-    n = inst.n
-    raw = rng.standard_normal((count, n))
-    if isinstance(P, Box):
-        lo = np.where(np.isfinite(P.lo), P.lo, -1e3)
-        hi = np.where(np.isfinite(P.hi), P.hi, 1e3)
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = np.clip(center + raw * np.maximum(half, 1e-12), P.lo, P.hi)
-        return pts
-    from .projection import project
-
-    pts = np.empty((count, n))
-    for i in range(count):
-        pts[i] = project(P, raw[i]).point
-    return pts
-
-
-def _sample_feasible(inst: ProblemInstance, rng: np.random.Generator, count: int):
-    """Points satisfying Ax = b exactly and x in P, built from a feasible anchor.
+def _sample_feasible(anchor, A, P: Polyhedron, rng: np.random.Generator, count: int):
+    """Points x with A x = A anchor exactly and x in P, built from a feasible anchor.
 
     Moves along null(A) directions with a backtracked step so membership
-    in P is preserved exactly.  Returns None when no anchor is available.
+    in P is preserved exactly.
     """
-    anchor = inst.meta.get("x_feas")
-    if anchor is None:
-        return None
-    anchor = np.asarray(anchor, dtype=float)
-    A = inst.eq_matrix
     _, _, vt = np.linalg.svd(A, full_matrices=True)
     null_basis = vt[A.shape[0]:]  # rows span null(A)
     if null_basis.shape[0] == 0:
         return np.tile(anchor, (count, 1))
-    pts = np.empty((count, inst.n))
-    P = inst.polyhedron
+    pts = np.empty((count, anchor.shape[0]))
     for i in range(count):
         d = null_basis.T @ rng.standard_normal(null_basis.shape[0])
         t = 1.0
@@ -258,50 +220,6 @@ def _sample_feasible(inst: ProblemInstance, rng: np.random.Generator, count: int
             x = anchor
         pts[i] = x
     return pts
-
-
-def validate_instance(inst: ProblemInstance, samples: int, rng_seed: int) -> ValidationReport:
-    """Sampled check of the declared gradient Lipschitz constant and lower bound.
-
-    Flags a violation when the max sampled ratio ||grad f(x)-grad f(x')|| /
-    ||x-x'|| exceeds the declared constant by more than 1e-9 relative.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    inst.check_dimensions()
-    rng = np.random.default_rng(rng_seed)
-    xs = _sample_in_polyhedron(inst, rng, samples)
-    ys = _sample_in_polyhedron(inst, rng, samples)
-    max_ratio = 0.0
-    for x, y in zip(xs, ys):
-        dx = np.linalg.norm(x - y)
-        if dx < 1e-14:
-            continue
-        ratio = np.linalg.norm(inst.grad_f(x) - inst.grad_f(y)) / dx
-        max_ratio = max(max_ratio, float(ratio))
-    lipschitz_ok = max_ratio <= inst.lipschitz_grad * (1.0 + 1e-9)
-
-    min_f = None
-    consistent = None
-    feas = _sample_feasible(inst, rng, min(samples, 64))
-    if feas is not None:
-        min_f = float(min(inst.f(x) for x in feas))
-        if inst.lower_bound is not None:
-            consistent = min_f >= inst.lower_bound - 1e-9 * (1.0 + abs(min_f))
-
-    G, _h = inst.polyhedron.as_halfspaces()
-    return ValidationReport(
-        n=inst.n,
-        m=inst.m,
-        l=G.shape[0],
-        lipschitz_declared=inst.lipschitz_grad,
-        lipschitz_max_sampled_ratio=max_ratio,
-        lipschitz_ok=bool(lipschitz_ok),
-        min_sampled_f=min_f,
-        lower_bound=inst.lower_bound,
-        lower_bound_consistent=consistent,
-        samples=samples,
-    )
 
 
 def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
@@ -348,8 +266,7 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
         corners = np.array(np.meshgrid(*[[lo[i], hi[i]] for i in range(n)])).T.reshape(-1, n)
     else:
         corners = np.where(rng.random((4096, n)) < 0.5, lo, hi)
-    inst_tmp = ProblemInstance(obj, L_f, A, b, Box(lo, hi), meta={"x_feas": x_feas})
-    feas = _sample_feasible(inst_tmp, rng, 64)
+    feas = _sample_feasible(x_feas, A, Box(lo, hi), rng, 64)
     with np.errstate(over="ignore", invalid="ignore"):   # a wide box: f_lower checked below
         corner_vals = 0.5 * np.einsum("ij,jk,ik->i", corners, Q, corners) + corners @ q
         feas_vals = [obj.value(x) for x in feas]
@@ -467,7 +384,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     """The instance of a problem file's JSON object (the schema above).
 
     Malformed data (not an object, a missing or ill-typed field, null or
-    non-finite numbers, wrong sizes) raises ValueError."""
+    non-finite numbers, wrong sizes, an unknown f_lower_kind) raises
+    ValueError."""
     if not isinstance(data, dict):
         raise ValueError("a problem file holds one JSON object")
     n = _json_number(data, "n", integer=True)
@@ -491,6 +409,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     if not isinstance(meta, dict):
         raise ValueError("'meta' must be an object")
     meta = dict(meta)
+    if "f_lower_kind" in meta and meta["f_lower_kind"] not in LOWER_BOUND_KINDS:
+        raise ValueError(f"'f_lower_kind' must be one of {LOWER_BOUND_KINDS}")
     if "x_feas" in meta:
         meta["x_feas"] = _json_array(meta, "x_feas", (n,))
     offset = _json_number(data, "offset") if "offset" in data else 0.0

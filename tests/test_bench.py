@@ -382,6 +382,8 @@ def _with(**fields):
     _with(meta=None), _with(polyhedron=None), _with(polyhedron="box"), _with(q=None),
     _with(b=None), _with(Q="Q"), _with(A=[[1.0, 2.0, 3.0]]), _with(L_f=float("nan")),
     {k: v for k, v in _small_problem().items() if k != "L_f"},
+    _with(meta=dict(_small_problem()["meta"], f_lower_kind=[1])),
+    _with(meta=dict(_small_problem()["meta"], f_lower_kind="exakt")),
 ])
 def test_cli_malformed_problem_exits_3(tmp_path, capsys, data):
     path = tmp_path / "p.json"
@@ -406,21 +408,41 @@ def _strict_json(text):
 _NO_STEP_SIZES = "step sizes need L_f > 0 and finite L and 1/L"
 
 
+def _understated_lipschitz(factor):
+    """A gen-qp file whose L_f is factor * ||Q||_2, and the planner's message."""
+    data = instance_to_dict(generate_nonconvex_qp(n=6, m=2, neg_eigs=2, rng_seed=3))
+    norm_Q = float(np.max(np.abs(np.linalg.eigvalsh(np.reshape(data["Q"], (6, 6))))))
+    L_f = factor * norm_Q
+    return dict(data, L_f=L_f), f"the declared L_f = {L_f} is below ||Q||_2 = {norm_Q}"
+
+
 @pytest.mark.parametrize("data, message", [
     (_with(L_f=0.0), _NO_STEP_SIZES), (_with(L_f=-1.0), _NO_STEP_SIZES),
     (_with(L_f=1e308), _NO_STEP_SIZES), (_with(L_f=1e-320), _NO_STEP_SIZES),
     (_scaled_equalities(1e160), "smax(A)^2 = (1e+160)^2 is beyond float range"),
     (_with(L_f=1e200), "gamma_K^2 = (2e+200)^2 is beyond float range"),
-], ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160", "L_f=1e200"])
+    _understated_lipschitz(0.2), _understated_lipschitz(0.1),
+    (_with(f_lower=1e3, meta=dict(_small_problem()["meta"], f_lower_kind="exact")),
+     "the exact f_lower = 1000.0 is above f(x_feas) = "),
+], ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160", "L_f=1e200",
+        "L_f=0.2|Q|", "L_f=0.1|Q|", "exact f_lower>f(x_feas)"])
 def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data, message):
     # for a subnormal L_f, L is finite but c = 0.99/L is not; past float range
-    # the message names the square that overflowed
+    # the message names the square that overflowed; an understated L_f or an
+    # exact f_lower above a feasible value would make the plan unsound
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
-    for argv in (["constants"], ["constants", "--mode", "practical"], ["solve"]):
+    for argv in (["constants"], ["constants", "--mode", "practical"], ["solve"],
+                 ["verify-eb", "--samples", "5"], ["trace-segment", "--grid", "11"]):
         assert main(argv + ["--problem", str(path)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and message in err, err
+
+
+def test_cli_estimated_f_lower_is_not_checked(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_with(f_lower=1e3)))   # the generator's kind is "estimate"
+    assert main(["constants", "--problem", str(path)]) == 0
 
 
 def test_cli_instance_without_equality_rows(tmp_path, capsys):
@@ -484,17 +506,24 @@ def test_cli_emit_writes_nothing_for_non_finite_values(capsys):
 
 
 def test_cli_asymmetric_q_solves_as_its_symmetric_part(tmp_path, capsys):
-    # f reads only the symmetric part of Q; the gradient must too
+    # f reads only the symmetric part of Q; the gradient must too, and so
+    # must the check of the declared L_f
     data = instance_to_dict(generate_nonconvex_qp(n=4, m=1, neg_eigs=1, rng_seed=3))
     Q = np.array(data["Q"]).reshape(4, 4)
     Q[2, 3] += 0.7
+    sym = 0.5 * Q + 0.5 * Q.T
+    L_f = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
     outputs = []
-    for name, Qf in (("asym", Q), ("sym", 0.5 * Q + 0.5 * Q.T)):
+    for name, Qf in (("asym", Q), ("sym", sym)):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dict(data, Q=Qf.ravel().tolist())))
+        path.write_text(json.dumps(dict(data, Q=Qf.ravel().tolist(), L_f=L_f)))
         assert main(["solve", "--problem", str(path), "--tol", "1e-9"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+    # the generator's L_f is the norm of the unperturbed Q, below ||sym||_2
+    path.write_text(json.dumps(dict(data, Q=Q.ravel().tolist())))
+    assert main(["solve", "--problem", str(path), "--tol", "1e-9"]) == 2
+    assert f"is below ||Q||_2 = {L_f}" in capsys.readouterr().err
 
 
 def test_cli_deeply_nested_files_exit_3(tmp_path, capsys):

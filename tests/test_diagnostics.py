@@ -511,6 +511,6 @@ def test_segment_multiplier_set_distance_bound():
         dr = abs(b.s - a.s) * np.linalg.norm(seg.r_tilde)
         if dr < 1e-12:
             continue
-        dist = multiplier_set_distance(g, b.y, b.mu, a.s * seg.r_tilde, a.x, a.active)
+        dist = multiplier_set_distance(g, b.y, b.mu, a.x, a.active)
         lhs = dist + np.linalg.norm(a.x - b.x)
         assert lhs <= seg.sigma5 * dr * (1 + 1e-6) + 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sproxalm.constants import plan_stepsizes
 from sproxalm.exceptions import DimensionMismatchError
 from sproxalm.problem import (Box, Halfspaces, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d, generate_nonconvex_qp,
-                              instance_from_dict, instance_to_dict, validate_instance)
+                              instance_from_dict, instance_to_dict)
+from tests.conftest import make_general_instance
 
 
 def diag_instance(L_f_declared):
@@ -21,18 +24,30 @@ def diag_instance(L_f_declared):
     )
 
 
-def test_validate_accepts_correct_lipschitz():
-    rep = validate_instance(diag_instance(1.0), samples=100, rng_seed=0)
-    assert rep.lipschitz_ok
-    assert rep.lipschitz_max_sampled_ratio <= 1.0 + 1e-9
+def test_planner_accepts_the_spectral_norm_as_lipschitz_constant():
+    params, report = plan_stepsizes(diag_instance(1.0), "practical")
+    assert report.L_f == 1.0 and params.p == 3.0
 
 
-def test_validate_flags_understated_lipschitz():
-    rep = validate_instance(diag_instance(0.5), samples=100, rng_seed=0)
-    assert not rep.lipschitz_ok
+def test_planner_rejects_understated_lipschitz():
+    with pytest.raises(ValueError, match=r"L_f = 0\.5 is below \|\|Q\|\|_2 = 1\.0"):
+        plan_stepsizes(diag_instance(0.5), "practical")
 
 
-def test_validate_raises_on_dimension_mismatch():
+def test_planner_checks_exact_f_lower_against_the_feasible_point():
+    # f(x_feas) = 0 at x_feas = (0.5, 0.5); a bound above it is wrong only
+    # when it claims to be exact or certified
+    for kind in ("exact", "certified"):
+        inst = dataclasses.replace(diag_instance(1.0), lower_bound=0.1, lower_bound_kind=kind)
+        message = rf"the {kind} f_lower = 0\.1 is above f\(x_feas\) = 0\.0"
+        with pytest.raises(ValueError, match=message):
+            plan_stepsizes(inst, "practical")
+    for bound, kind in ((0.1, "estimate"), (0.0, "exact")):
+        inst = dataclasses.replace(diag_instance(1.0), lower_bound=bound, lower_bound_kind=kind)
+        plan_stepsizes(inst, "practical")
+
+
+def test_check_dimensions_raises_on_mismatch():
     inst = diag_instance(1.0)
     bad = ProblemInstance(
         objective=inst.objective, lipschitz_grad=1.0,
@@ -40,7 +55,7 @@ def test_validate_raises_on_dimension_mismatch():
         polyhedron=Box(np.zeros(3), np.ones(3)),
     )
     with pytest.raises(DimensionMismatchError):
-        validate_instance(bad, samples=1, rng_seed=0)
+        bad.check_dimensions()
 
 
 def test_generator_small_instance_is_feasible_and_indefinite():
@@ -107,14 +122,16 @@ def test_json_roundtrip_box_and_general():
     assert np.array_equal(back.polyhedron.G, gen.polyhedron.G)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_sampled_lipschitz_ratio_never_exceeds_spectral_norm(seed):
-    inst = generate_nonconvex_qp(n=5, m=2, neg_eigs=2, rng_seed=seed)
-    rep = validate_instance(inst, samples=40, rng_seed=seed + 1)
-    smax = np.linalg.svd(inst.objective.Q, compute_uv=False)[0]
-    assert rep.lipschitz_max_sampled_ratio <= smax * (1.0 + 1e-9)
-    assert rep.lipschitz_ok
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 20), data=st.data())
+def test_generated_instances_pass_the_planner_checks(seed, n, data):
+    # the generators declare L_f = max|eigenvalue| and an estimated f_lower
+    m = data.draw(st.integers(1, n - 1))
+    neg_eigs = data.draw(st.integers(0, n - 1))
+    for inst in (generate_nonconvex_qp(n=n, m=m, neg_eigs=neg_eigs, rng_seed=seed),
+                 make_general_instance(n, m, data.draw(st.integers(1, 2 * n)), neg_eigs, seed)):
+        _, report = plan_stepsizes(inst, "practical", exact_limit=0)
+        assert report.L_f == inst.lipschitz_grad
 
 
 def test_objective_stores_the_symmetric_part_of_q():
