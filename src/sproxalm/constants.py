@@ -2,8 +2,8 @@
 
 Spectral quantities, the polyhedral error-bound constant theta_bar
 (maximized over full-row-rank submatrices of the stacked multiplier
-system), the derived dual error-bound constant sigma5_bar, admissible
-step sizes, and the certificate constants B1/B2.
+system), the derived dual error-bound constant sigma5_bar, and
+admissible step sizes.
 
 theta_bar enumeration note: the ratio sigma_max^2/sigma_min^4 can only
 grow when a row is appended to a full-row-rank submatrix (singular value
@@ -241,8 +241,6 @@ class ConstantsReport:
     c_max: float
     alpha_max: float | None       # None: not finite (smax(A)^2 = 0)
     beta_max: float | None
-    B1: float
-    B2: float
     mode: str
     warnings: list = field(default_factory=list)
 
@@ -363,14 +361,12 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     sigma2 = sigma1 / (1.0 + sigma1)
     sigma3 = gamma_K / smaxA if smaxA > 0 else np.inf
     sigma4 = gamma_K / p
-    B1 = _square(1.0 + smaxA * (1.0 + c * gamma_K) / (c * gamma_K), "B1")
-    B2 = _square((L_f + p + rho * smaxA2 + 2.0 / c) + rho * smaxA * np.sqrt(B1) + p, "B2")
 
     report = ConstantsReport(
         sigma_max_A=smaxA, L_f=L_f, rho=rho, p=p, L=L, gamma_K=gamma_K,
         sigma1=sigma1, sigma2=sigma2, sigma3=sigma3 if np.isfinite(sigma3) else None,
         sigma4=sigma4, theta_bar=theta_bar, theta_exact=theta_exact, sigma5_bar=sigma5_bar,
         c_max=c_max, alpha_max=alpha_max if np.isfinite(alpha_max) else None,
-        beta_max=beta_max, B1=float(B1), B2=float(B2), mode=mode, warnings=warnings,
+        beta_max=beta_max, mode=mode, warnings=warnings,
     )
     return SolverParams(rho=rho, p=p, c=c, alpha=alpha, beta=beta), report

@@ -7,8 +7,10 @@ The problem class is
 with P either an axis-aligned box (possibly unbounded) or a general
 halfspace system ``G x <= h``.  Objectives expose value and gradient
 oracles plus a declared Lipschitz constant of the gradient.  The loader
-checks a file's form; the step-size planner checks the declared L_f
-against ||Q||_2 and an exact or certified f_lower against f(x_feas).
+checks a file's form and that its meta.x_feas is feasible; the step-size
+planner checks the declared L_f against ||Q||_2 and an exact or
+certified f_lower against f(x_feas).  The generator attaches no f_lower;
+an "estimate" in a file loads, and nothing checks or reads it.
 """
 
 from __future__ import annotations
@@ -196,40 +198,14 @@ class ProblemInstance:
             )
 
 
-def _sample_feasible(anchor, A, P: Polyhedron, rng: np.random.Generator, count: int):
-    """Points x with A x = A anchor exactly and x in P, built from a feasible anchor.
-
-    Moves along null(A) directions with a backtracked step so membership
-    in P is preserved exactly.
-    """
-    _, _, vt = np.linalg.svd(A, full_matrices=True)
-    null_basis = vt[A.shape[0]:]  # rows span null(A)
-    if null_basis.shape[0] == 0:
-        return np.tile(anchor, (count, 1))
-    pts = np.empty((count, anchor.shape[0]))
-    for i in range(count):
-        d = null_basis.T @ rng.standard_normal(null_basis.shape[0])
-        t = 1.0
-        x = anchor + t * d
-        for _ in range(60):
-            if P.contains(x, tol=0.0):
-                break
-            t *= 0.5
-            x = anchor + t * d
-        else:
-            x = anchor
-        pts[i] = x
-    return pts
-
-
 def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
                           box=(0.0, 1.0)) -> ProblemInstance:
     """Random indefinite QP over a box with a feasible equality system.
 
     Q has exactly ``neg_eigs`` negative eigenvalues (magnitudes in
     [0.5, 2]); A has orthonormal rows; b = A x_feas for an interior
-    x_feas, so feasibility holds by construction.  The attached lower
-    bound is a sampled estimate minus a margin, labeled "estimate".
+    x_feas, so feasibility holds by construction.  No lower bound of f
+    is attached.  A box on which |f| may overflow raises ValueError.
     """
     if not 0 < m < n:
         raise ValueError("require 0 < m < n so A can have full row rank with slack")
@@ -261,20 +237,12 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
     obj = QuadraticObjective(Q=Q, q=q, offset=0.0)
     L_f = float(np.max(np.abs(lam)))
 
-    # sampled estimate of the lower bound: box corners + feasible points
-    if n <= 14:
-        corners = np.array(np.meshgrid(*[[lo[i], hi[i]] for i in range(n)])).T.reshape(-1, n)
-    else:
-        corners = np.where(rng.random((4096, n)) < 0.5, lo, hi)
-    feas = _sample_feasible(x_feas, A, Box(lo, hi), rng, 64)
-    with np.errstate(over="ignore", invalid="ignore"):   # a wide box: f_lower checked below
-        corner_vals = 0.5 * np.einsum("ij,jk,ik->i", corners, Q, corners) + corners @ q
-        feas_vals = [obj.value(x) for x in feas]
-        sampled_min = float(min(float(np.min(corner_vals)), min(feas_vals)))
-    margin = 1.0 + 0.1 * abs(sampled_min)
-    f_lower = sampled_min - margin
-    if not np.isfinite(f_lower):
-        raise ValueError("the box is too wide: f overflows on its corners")
+    r = np.maximum(np.abs(lo), np.abs(hi))
+    with np.errstate(over="ignore"):
+        f_bound = 0.5 * L_f * float(r @ r) + float(np.abs(q) @ r)
+    if not np.isfinite(f_bound):
+        raise ValueError("the box is too wide: the bound L_f/2 ||x||^2 + |q|'|x| "
+                         "on |f| over it overflows")
 
     return ProblemInstance(
         objective=obj,
@@ -282,8 +250,6 @@ def generate_nonconvex_qp(n: int, m: int, neg_eigs: int, rng_seed: int,
         eq_matrix=A,
         eq_rhs=b,
         polyhedron=Box(lo, hi),
-        lower_bound=f_lower,
-        lower_bound_kind="estimate",
         meta={"seed": int(rng_seed), "x_feas": x_feas},
     )
 
@@ -384,8 +350,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     """The instance of a problem file's JSON object (the schema above).
 
     Malformed data (not an object, a missing or ill-typed field, null or
-    non-finite numbers, wrong sizes, an unknown f_lower_kind) raises
-    ValueError."""
+    non-finite numbers, wrong sizes, an unknown f_lower_kind, a meta.x_feas
+    outside P or off A x = b) raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError("a problem file holds one JSON object")
     n = _json_number(data, "n", integer=True)
@@ -425,7 +391,27 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         meta=meta,
     )
     inst.check_dimensions()
+    if "x_feas" in meta:
+        _check_feasible(inst, meta["x_feas"])
     return inst
+
+
+def _scaled_norm(v) -> float:
+    """||v||_2 without overflow in the squares; NaN if v holds a NaN."""
+    scale = float(np.max(np.abs(v), initial=0.0))
+    return scale * float(np.linalg.norm(v / scale)) if 0.0 < scale < np.inf else scale
+
+
+def _check_feasible(inst: ProblemInstance, x) -> None:
+    """ValueError unless x lies in P and ||A x - b|| <= 1e-9 (1 + ||b||)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not inst.polyhedron.contains(x):
+            G, h = inst.polyhedron.as_halfspaces()
+            raise ValueError(f"'x_feas' lies outside the polyhedron: "
+                             f"max(G x_feas - h) = {np.max(G @ x - h):.3g}")
+        residual = _scaled_norm(inst.eq_matrix @ x - inst.eq_rhs)
+    if not residual <= 1e-9 * (1.0 + _scaled_norm(inst.eq_rhs)):
+        raise ValueError(f"'x_feas' is off A x = b: ||A x_feas - b|| = {residual:.3g}")
 
 
 def save_instance(inst: ProblemInstance, path) -> None:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from sproxalm.bench import ExperimentConfig, fit_rate, run_experiment
 from sproxalm import cli
 from sproxalm.cli import main
 from sproxalm.problem import (fixed_instance_1d, generate_nonconvex_qp, instance_to_dict,
-                              save_instance)
+                              load_instance, save_instance)
 from sproxalm.solvers import Trace
 from tests.conftest import make_general_instance
 
@@ -211,7 +212,8 @@ def test_cli_gen_qp_invalid_sizes_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("box", [["--box-lo=-inf"], ["--box-lo=nan"],
                                  ["--box-lo=-1e308", "--box-hi=1e308"],
-                                 ["--box-lo=-1e200", "--box-hi=1e200"]])
+                                 ["--box-lo=-1e200", "--box-hi=1e200"],
+                                 ["--box-lo=-1e154", "--box-hi=1e154"]])
 @pytest.mark.filterwarnings("error")
 def test_cli_gen_qp_non_finite_box_exits_2(tmp_path, capsys, box):
     out = tmp_path / "qp.json"
@@ -221,6 +223,17 @@ def test_cli_gen_qp_non_finite_box_exits_2(tmp_path, capsys, box):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_gen_qp_wide_box_within_float_range(tmp_path, capsys):
+    # on [-1e150, 1e150]^3 the bound L_f/2 ||x||^2 + |q|'|x| on |f| is finite
+    out = tmp_path / "qp.json"
+    assert main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1", "--seed", "0",
+                 "--box-lo=-1e150", "--box-hi=1e150", "--out", str(out)]) == 0
+    inst = load_instance(out)
+    for corner in itertools.product(*zip(inst.polyhedron.lo, inst.polyhedron.hi)):
+        assert np.isfinite(inst.f(np.array(corner)))
 
 
 @pytest.mark.parametrize("algo", ["sprox", "alm"])
@@ -376,6 +389,13 @@ def _with(**fields):
     return data
 
 
+def _with_x_feas(x):
+    """The small problem with meta.x_feas = x and b = A x."""
+    data = _small_problem()
+    b = np.reshape(data["A"], (data["m"], data["n"])) @ np.asarray(x)
+    return _with(b=b.tolist(), meta=dict(data["meta"], x_feas=list(x)))
+
+
 @pytest.mark.parametrize("data", [
     [], "problem", None,
     _with(n=None), _with(m=None), _with(offset=None), _with(L_f=None), _with(f_lower=None),
@@ -384,6 +404,7 @@ def _with(**fields):
     {k: v for k, v in _small_problem().items() if k != "L_f"},
     _with(meta=dict(_small_problem()["meta"], f_lower_kind=[1])),
     _with(meta=dict(_small_problem()["meta"], f_lower_kind="exakt")),
+    _with_x_feas([2.0, 0.5, 0.5]), _with(b=[v + 1.0 for v in _small_problem()["b"]]),
 ])
 def test_cli_malformed_problem_exits_3(tmp_path, capsys, data):
     path = tmp_path / "p.json"
@@ -441,8 +462,21 @@ def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data, message
 
 def test_cli_estimated_f_lower_is_not_checked(tmp_path, capsys):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(_with(f_lower=1e3)))   # the generator's kind is "estimate"
+    path.write_text(json.dumps(_with(f_lower=1e3, meta=dict(_small_problem()["meta"],
+                                                            f_lower_kind="estimate"))))
     assert main(["constants", "--problem", str(path)]) == 0
+
+
+def test_cli_infeasible_x_feas_is_blamed_not_the_f_lower(tmp_path, capsys):
+    # the planner compares an exact f_lower with f(x_feas); an x_feas off
+    # A x = b is a load error that names its residual
+    data = _with(b=[v + 1.0 for v in _small_problem()["b"]], f_lower=1e3,
+                 meta=dict(_small_problem()["meta"], f_lower_kind="exact"))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot load problem file" in err and "||A x_feas - b|| = 1" in err
 
 
 def test_cli_instance_without_equality_rows(tmp_path, capsys):

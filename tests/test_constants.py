@@ -149,16 +149,6 @@ def test_theoretical_warns_on_sampled_theta():
     assert any("lower bound" in w for w in rep.warnings)
 
 
-def test_b1_b2_formulas():
-    inst = generate_nonconvex_qp(n=4, m=2, neg_eigs=1, rng_seed=8)
-    params, rep = plan_stepsizes(inst, "practical")
-    s, c, g = rep.sigma_max_A, params.c, rep.gamma_K
-    B1 = (1 + s * (1 + c * g) / (c * g)) ** 2
-    assert rep.B1 == pytest.approx(B1, rel=1e-12)
-    B2 = ((rep.L_f + rep.p + rep.rho * s ** 2 + 2 / c) + rep.rho * s * np.sqrt(B1) + rep.p) ** 2
-    assert rep.B2 == pytest.approx(B2, rel=1e-12)
-
-
 def test_beta_below_machine_epsilon_warns():
     # criteria 1-2's first instance: its certified beta is about 1e-37
     inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=1000)

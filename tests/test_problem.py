@@ -106,10 +106,13 @@ def test_fixed_instance_golden_values():
 
 def test_json_roundtrip_box_and_general():
     inst = generate_nonconvex_qp(n=4, m=2, neg_eigs=1, rng_seed=5)
+    assert inst.lower_bound is None and inst.lower_bound_kind is None
+    assert "f_lower" not in instance_to_dict(inst)
+    inst = dataclasses.replace(inst, lower_bound=-3.0, lower_bound_kind="estimate")
     back = instance_from_dict(instance_to_dict(inst))
     assert np.array_equal(back.objective.Q, inst.objective.Q)
     assert np.array_equal(back.eq_matrix, inst.eq_matrix)
-    assert back.lower_bound == inst.lower_bound
+    assert back.lower_bound == -3.0
     assert back.lower_bound_kind == "estimate"
 
     gen = ProblemInstance(
@@ -125,13 +128,15 @@ def test_json_roundtrip_box_and_general():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 20), data=st.data())
 def test_generated_instances_pass_the_planner_checks(seed, n, data):
-    # the generators declare L_f = max|eigenvalue| and an estimated f_lower
+    # the generators declare L_f = max|eigenvalue| and no f_lower, and
+    # their x_feas passes the loader's feasibility check
     m = data.draw(st.integers(1, n - 1))
     neg_eigs = data.draw(st.integers(0, n - 1))
     for inst in (generate_nonconvex_qp(n=n, m=m, neg_eigs=neg_eigs, rng_seed=seed),
                  make_general_instance(n, m, data.draw(st.integers(1, 2 * n)), neg_eigs, seed)):
         _, report = plan_stepsizes(inst, "practical", exact_limit=0)
         assert report.L_f == inst.lipschitz_grad
+        instance_from_dict(instance_to_dict(inst))
 
 
 def test_objective_stores_the_symmetric_part_of_q():
