@@ -24,7 +24,6 @@ class ExperimentConfig:
     target_eps: float = 1e-8
     trace_path: str | None = None
     monitor_level: str = "none"
-    seed: int = 0
     exact_limit: int = 20
 
     def validate(self):
@@ -92,8 +91,7 @@ def run_experiment(inst: ProblemInstance, cfg: ExperimentConfig) -> dict:
     instance and config.
     """
     cfg.validate()
-    params, report = plan_stepsizes(inst, cfg.mode, exact_limit=cfg.exact_limit,
-                                    rng_seed=cfg.seed)
+    params, report = plan_stepsizes(inst, cfg.mode, exact_limit=cfg.exact_limit)
     params.max_iters = cfg.max_iters
     params.target_eps = cfg.target_eps
     params.monitor_level = cfg.monitor_level

@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .bench import ALGORITHMS, ExperimentConfig, run_experiment
-from .constants import (MODES, MONITOR_LEVELS, dual_error_bound_constant, hoffman_theta_exact,
-                        plan_stepsizes)
+from .constants import MODES, MONITOR_LEVELS, hoffman_theta_exact, plan_stepsizes
 from .diagnostics import (regularized_quadratic_instance, trace_segment_decomposition,
                           verify_dual_error_bound, verify_hoffman)
 from .problem import generate_nonconvex_qp, load_instance, load_system, save_instance
@@ -53,7 +52,6 @@ def cmd_solve(args) -> int:
         target_eps=args.tol,
         trace_path=args.trace,
         monitor_level=args.monitor,
-        seed=args.seed,
         exact_limit=args.exact_limit,
     )
     _emit(run_experiment(inst, cfg))
@@ -62,22 +60,20 @@ def cmd_solve(args) -> int:
 
 def cmd_constants(args) -> int:
     inst = _load(load_instance, "problem", args.problem)
-    _params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
-                                     rng_seed=args.seed)
+    _params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def cmd_verify_eb(args) -> int:
     inst = _load(load_instance, "problem", args.problem)
-    params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit,
-                                    rng_seed=args.seed)
-    sigma5_bar = report.sigma5_bar
-    if sigma5_bar is None:  # a practical plan leaves out the sampled theta
-        _theta, _exact, sigma5_bar = dual_error_bound_constant(
-            inst, report.L, report.gamma_K, exact_limit=args.exact_limit, rng_seed=args.seed)
+    params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit)
+    if report.sigma5_bar is None:   # a practical plan above exact_limit has no theta_bar
+        G, _h = inst.polyhedron.as_halfspaces()
+        raise ValueError(f"verify-eb needs an exact sigma5_bar, and M = [[A', G'], [0, I]] has "
+                         f"{inst.n + G.shape[0]} rows, above --exact-limit {args.exact_limit}")
     out = verify_dual_error_bound(inst, params, n_samples=args.samples,
-                                  rng_seed=args.seed, sigma5_bar=sigma5_bar)
+                                  rng_seed=args.seed, sigma5_bar=report.sigma5_bar)
     _emit(out.to_dict())
     return EXIT_OK if out.passed else EXIT_CHECK_FAILED
 
@@ -93,8 +89,7 @@ def cmd_verify_hoffman(args) -> int:
 
 def cmd_trace_segment(args) -> int:
     inst = _load(load_instance, "problem", args.problem)
-    params, _report = plan_stepsizes(inst, "practical", exact_limit=args.exact_limit,
-                                     rng_seed=args.seed)
+    params, _report = plan_stepsizes(inst, "practical", exact_limit=0)   # no theta_bar
     anchor = inst.meta.get("x_feas")
     z = np.zeros(inst.n) if anchor is None else np.asarray(anchor, dtype=float)
     g_inst = regularized_quadratic_instance(inst, params, z)
@@ -138,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--trace", default=None)
     s.add_argument("--monitor", choices=MONITOR_LEVELS, default="none")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     s.add_argument("--exact-limit", type=int, default=20)
     s.set_defaults(func=cmd_solve)
 
@@ -146,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--problem", required=True)
     s.add_argument("--mode", choices=MODES, default="theoretical")
     s.add_argument("--exact-limit", type=int, default=20)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_constants)
 
     s = sub.add_parser("verify-eb", help="sampled check of the global dual error bound")
@@ -169,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", type=int, default=1001)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--y-scale", type=float, default=1.0)
-    s.add_argument("--exact-limit", type=int, default=20)
     s.set_defaults(func=cmd_trace_segment)
 
     s = sub.add_parser("gen-qp", help="generate a nonconvex QP benchmark instance")

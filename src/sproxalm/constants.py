@@ -11,12 +11,16 @@ interlacing), so the exact maximum over all full-row-rank submatrices is
 attained among the rank(M)-row ones.  We enumerate only those, and for
 finite two-sided boxes we additionally exploit the signed-unit structure
 of the bound rows to compress each candidate to a small equivalent stack.
+Every theta_bar is exact: both enumerations, C(rows, rank) subsets in
+general and C(n, m) 2^(n-m) on a box, share one subset budget that is
+checked before any subset is built, and a count above it raises
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -24,9 +28,9 @@ import numpy as np
 from .problem import ProblemInstance
 
 _EPS = np.finfo(float).eps
-_MAX_EXACT_SUBSETS = 20_000_000
-_EXACT_CHUNK = 20_000     # row subsets per batched SVD
-_SAMPLED_CHUNK = 5_000
+_MAX_EXACT_SUBSETS = 1_100_000   # about a minute of batched SVDs at n = 14
+_EXACT_CHUNK = 20_000            # subsets per batched SVD
+_CHUNK_FLOATS = 8_000_000        # and at most 64 MB of stacked submatrices
 
 
 def build_hoffman_matrix(A, G) -> np.ndarray:
@@ -66,37 +70,36 @@ def _theta_from_singular_values(sv, tol):
     return float(np.max(smax[valid] ** 2 / smin[valid] ** 4))
 
 
-def _max_theta(M, index_blocks) -> float:
-    """Max of sigma_max^2/sigma_min^4 over rank(M)-row submatrices of M.
+def _check_budget(subsets: int) -> None:
+    """ValueError when an exact enumeration would visit more than
+    _MAX_EXACT_SUBSETS subsets; called before any subset is built."""
+    if subsets > _MAX_EXACT_SUBSETS:
+        raise ValueError(f"exact theta_bar needs {subsets:,} subsets, above the budget "
+                         f"of {_MAX_EXACT_SUBSETS:,}")
 
-    ``index_blocks(rows, r)`` yields the submatrices as (B, r) arrays of
-    row indices; each block takes one batched SVD."""
+
+def _blocks(items, floats_each: int):
+    """The items of an iterator in lists of at most _EXACT_CHUNK, and of at
+    most _CHUNK_FLOATS floats when each item's stack holds floats_each."""
+    size = max(1, min(_EXACT_CHUNK, _CHUNK_FLOATS // max(floats_each, 1)))
+    while block := list(islice(items, size)):
+        yield block
+
+
+def hoffman_theta_exact(M) -> float:
+    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices:
+    one batched SVD per block of the C(rows, rank(M)) rank(M)-row subsets."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     r, tol = _rank_and_tol(M)
     if r == 0:
         return 0.0
+    rows, cols = M.shape
+    _check_budget(comb(rows, r))
     best = 0.0
-    for idx in index_blocks(M.shape[0], r):
-        sv = np.linalg.svd(M[idx], compute_uv=False)
+    for block in _blocks(combinations(range(rows), r), r * cols):
+        sv = np.linalg.svd(M[np.asarray(block)], compute_uv=False)
         best = max(best, _theta_from_singular_values(sv, tol))
     return best
-
-
-def _all_subsets(rows, r):
-    """Every r-row subset, in blocks of _EXACT_CHUNK."""
-    total = comb(rows, r)
-    if total > _MAX_EXACT_SUBSETS:
-        raise ValueError(
-            f"exact enumeration needs {total} subsets; reduce exact_limit or use sampling"
-        )
-    combos = combinations(range(rows), r)
-    while block := list(islice(combos, _EXACT_CHUNK)):
-        yield np.asarray(block)
-
-
-def hoffman_theta_exact(M) -> float:
-    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices."""
-    return _max_theta(M, _all_subsets)
 
 
 def _two_sided_box_rows(G) -> bool:
@@ -143,53 +146,43 @@ def hoffman_theta_exact_box(A, tol: float) -> float:
 
     Valid maximal submatrices keep top rows S_top (|S_top| = m + k) and
     drop one bound row for each of k distinct variables inside S_top;
-    the two sign choices give identical singular values.
+    the two sign choices give identical singular values.  That makes
+    C(n, m) 2^(n-m) subsets, visited in blocks.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
+    _check_budget(comb(n, m) * 2 ** (n - m))
     A_cols = A.T.copy()   # row i = column i of A
     best = 0.0
     for k in range(0, n - m + 1):
         d = m + k
-        tops = np.asarray(list(combinations(range(n), d)), dtype=np.intp)
         masks = np.zeros((comb(d, k), d), dtype=bool)
         for row, sel in enumerate(combinations(range(d), k)):
             masks[row, list(sel)] = True
-        S_top = np.repeat(tops, masks.shape[0], axis=0)
-        J_mask = np.tile(masks, (tops.shape[0], 1))
-        sv = _box_reduced_singular_values(A_cols, S_top, J_mask, m)
-        # the compressed stack omits singular values equal to 1; they never
-        # attain the extremes since sigma_max >= sqrt(2) and sigma_min <= 1
-        best = max(best, _theta_from_singular_values(sv, tol))
+        pairs = product(combinations(range(n), d), range(len(masks)))
+        for block in _blocks(pairs, 4 * d * d):   # each stack is 2d x 2d
+            tops, mask_rows = zip(*block)
+            sv = _box_reduced_singular_values(A_cols, np.asarray(tops, dtype=np.intp),
+                                              masks[list(mask_rows)], m)
+            # the compressed stack omits singular values equal to 1; they never
+            # attain the extremes since sigma_max >= sqrt(2) and sigma_min <= 1
+            best = max(best, _theta_from_singular_values(sv, tol))
     return best
 
 
-def hoffman_theta_sampled(M, n_samples: int, rng: np.random.Generator) -> float:
-    """Lower-bound estimate of theta from random rank(M)-row submatrices."""
-    def random_subsets(rows, r):
-        for done in range(0, n_samples, _SAMPLED_CHUNK):
-            keys = rng.random((min(_SAMPLED_CHUNK, n_samples - done), rows))
-            yield np.argsort(keys, axis=1)[:, :r]
-
-    return _max_theta(M, random_subsets)
-
-
-def hoffman_constant(A, G, exact_limit: int = 20, rng_seed: int = 0) -> tuple[float, bool]:
+def hoffman_constant(A, G) -> tuple[float, bool]:
     """Polyhedral error-bound constant theta_bar of the multiplier system.
 
-    Builds M = [[A', G'], [0, I]].  When M has at most ``exact_limit``
-    rows the exact maximum over full-row-rank submatrices is returned
-    (exact=True); otherwise a randomized lower-bound estimate from
-    10,000 sampled submatrices (exact=False).
+    Builds M = [[A', G'], [0, I]] and returns (theta_bar, True): the exact
+    maximum over its full-row-rank submatrices.  An enumeration above the
+    subset budget raises ValueError naming its count.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = build_hoffman_matrix(A, G)
-    if M.shape[0] <= exact_limit:
-        if (G is not None and np.size(G) and _two_sided_box_rows(G)
-                and np.linalg.matrix_rank(A) == A.shape[0]):
-            return hoffman_theta_exact_box(A, _rank_and_tol(M)[1]), True
-        return hoffman_theta_exact(M), True
-    return hoffman_theta_sampled(M, 10_000, np.random.default_rng(rng_seed)), False
+    if (G is not None and np.size(G) and _two_sided_box_rows(G)
+            and np.linalg.matrix_rank(A) == A.shape[0]):
+        return hoffman_theta_exact_box(A, _rank_and_tol(M)[1]), True
+    return hoffman_theta_exact(M), True
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +254,26 @@ def sigma5_from_theta(theta_bar: float, L: float, gamma: float) -> float:
     return float(np.sqrt(2.0) * (theta_bar * _square(L, "L^2") + 1.0) / gamma)
 
 
-def dual_error_bound_constant(inst: ProblemInstance, L: float, gamma: float,
-                              exact_limit: int = 20, rng_seed: int = 0):
-    """(theta_bar, theta_exact, sigma5_bar) of an instance: the Hoffman
-    constant of its multiplier system (``hoffman_constant``) and the dual
-    error-bound constant it gives (``sigma5_from_theta``)."""
-    G, _h = inst.polyhedron.as_halfspaces()
-    theta_bar, exact = hoffman_constant(inst.eq_matrix, G, exact_limit=exact_limit,
-                                        rng_seed=rng_seed)
-    return theta_bar, exact, sigma5_from_theta(theta_bar, L, gamma)
-
-
-def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
-                   rng_seed: int = 0):
+def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20):
     """Derive (SolverParams, ConstantsReport) for an instance.
 
     theoretical mode takes 0.99 of every strict admissibility bound
     (p = 3 L_f, rho = L_f, c, alpha, and beta through the certified
     sigma5_bar).  practical mode keeps c but takes 0.9 of the alpha
     bound and relaxes beta to 0.01, which carries no convergence
-    guarantee and is flagged as such; it computes theta_bar only when it
-    is exact (at most ``exact_limit`` rows of M), and otherwise reports
-    theta_bar, sigma5_bar and beta_max as None with a warning.  A beta
-    below machine epsilon is reported with a warning too.  With
+    guarantee and is flagged as such.  theta_bar is computed, exactly,
+    only when M = [[A', G'], [0, I]] has at most ``exact_limit`` rows;
+    above that a theoretical plan raises ValueError, and a practical one
+    reports theta_bar, sigma5_bar and beta_max as None with a warning.
+    A beta below machine epsilon is reported with a warning too.  With
     smax(A) = 0 there is no alpha bound, and sigma3 and alpha_max are
     reported as None, as they are whenever they overflow; alpha is 1
     whenever alpha_max is not finite.  The step sizes exist only for
-    L_f > 0 and L = L_f + rho smax(A)^2 + p with L and 1/L finite;
-    otherwise ValueError.  ValueError too when the declared L_f is below
-    ||Q||_2 (up to 1e-12 relative), or when an exact or certified f_lower
-    lies above f(x_feas) by more than 1e-9 (1 + |f(x_feas)|).
+    L_f > 0 and L = L_f + rho smax(A)^2 + p with L and 1/L finite, and a
+    nonzero alpha_max; otherwise ValueError.  ValueError too when the
+    declared L_f is below ||Q||_2 (up to 1e-12 relative), or when an exact
+    or certified f_lower lies above f(x_feas) by more than
+    1e-9 (1 + |f(x_feas)|).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -322,34 +305,35 @@ def plan_stepsizes(inst: ProblemInstance, mode: str, exact_limit: int = 20,
     c = 0.99 * c_max
 
     alpha_max = c * _square(gamma_K, "gamma_K^2") / (4.0 * smaxA2) if smaxA2 > 0 else np.inf
+    if alpha_max == 0.0:
+        raise ValueError(f"alpha_max = c*gamma_K^2/(4*smax(A)^2) underflows to 0 (c = {c:.3g}, "
+                         f"gamma_K = {gamma_K:.3g}, smax(A) = {smaxA:.3g})")
     alpha = (0.99 if mode == "theoretical" else 0.9) * alpha_max
     if not np.isfinite(alpha):
         alpha = 1.0
 
-    # the practical beta does not use theta, so a practical plan skips
-    # the sampled estimate above exact_limit rows of M = [[A', G'], [0, I]]
+    # theta_bar is exact or absent; the practical beta does not use it
     G, _h = inst.polyhedron.as_halfspaces()
+    rows = inst.n + G.shape[0]
     theta_bar = sigma5_bar = beta_max = None
     theta_exact = False
-    if mode == "theoretical" or inst.n + G.shape[0] <= exact_limit:
-        theta_bar, theta_exact, sigma5_bar = dual_error_bound_constant(
-            inst, L, gamma_K, exact_limit=exact_limit, rng_seed=rng_seed)
+    if rows <= exact_limit:
+        theta_bar, theta_exact = hoffman_constant(inst.eq_matrix, G)
+        sigma5_bar = sigma5_from_theta(theta_bar, L, gamma_K)
         beta_max = float(min(1.0 / 30.0, alpha / (12.0 * p * _square(sigma5_bar, "sigma5_bar^2"))))
+    elif mode == "theoretical":
+        raise ValueError(f"a theoretical plan needs an exact theta_bar, and M = [[A', G'], [0, I]] "
+                         f"has {rows} rows, above exact_limit = {exact_limit}")
 
     if mode == "theoretical":
-        if not theta_exact:
-            warnings.append(
-                "theta_bar is a sampled lower bound; the beta bound is not certified"
-            )
         beta = 0.99 * beta_max
     else:
         beta = 0.01
         warnings.append("practical beta carries no theoretical guarantee")
         if theta_bar is None:
             warnings.append(
-                f"theta_bar not computed: M has more than {exact_limit} rows, where only a "
-                "sampled lower bound that certifies nothing is available, and the "
-                "practical beta does not use theta"
+                f"theta_bar not computed: M = [[A', G'], [0, I]] has {rows} rows, above "
+                f"exact_limit = {exact_limit}, and the practical beta does not use theta"
             )
     if beta < _EPS:
         warnings.append(

@@ -447,7 +447,7 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     Breakpoints (active-set changes) are localized by bisection to 1e-8;
     adjacent grid points sharing an active set are checked against the
     per-segment Lipschitz bound with sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma,
-    where theta_bar is exact, which limits n and the rows l of P to 12.
+    where theta_bar is exact (``hoffman_constant``, within its subset budget).
     A point whose shifted feasible set is empty raises InfeasibleError.
     """
     if grid_size < 2:
@@ -459,13 +459,11 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     gamma, L = float(ev[0]), float(ev[-1])
     A, b = g_inst.eq_matrix, g_inst.eq_rhs
     G, h = g_inst.polyhedron.as_halfspaces()
-    if g_inst.n > 12 or G.shape[0] > 12:
-        raise ValueError("segment tracing computes theta exactly: need n <= 12, l <= 12")
     y_tilde = np.asarray(y_tilde, dtype=float)
 
     from .constants import hoffman_constant
 
-    theta_bar, _exact = hoffman_constant(A, G, exact_limit=max(20, g_inst.n + G.shape[0]))
+    theta_bar, _exact = hoffman_constant(A, G)
     sigma5 = sigma5_from_theta(theta_bar, L, gamma)
 
     # x(y_tilde): minimize g + y'(Ax-b) over P (no equality constraint)

@@ -144,7 +144,7 @@ def test_criterion_5_rate_envelope():
     per_instance_ratio = []
     for i in range(n_inst):
         inst = generate_nonconvex_qp(n=20, m=5, neg_eigs=5, rng_seed=5000 + i)
-        params, _ = plan_stepsizes(inst, "practical", exact_limit=20, rng_seed=i)
+        params, _ = plan_stepsizes(inst, "practical", exact_limit=20)
         params.max_iters = 100_000
         params.target_eps = 0.0
         params.trace_every = 1

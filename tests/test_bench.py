@@ -361,10 +361,34 @@ def test_cli_verify_eb_bound_is_the_same_in_both_modes(thirty_row_problem, capsy
     outputs = []
     for mode in ("practical", "theoretical"):
         rc = main(["verify-eb", "--problem", thirty_row_problem, "--mode", mode,
-                   "--samples", "5"])
+                   "--samples", "5", "--exact-limit", "30"])
         outputs.append((rc, capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][1])["bound"] > 0
+    # at the default exact_limit of 20 neither mode has an exact sigma5_bar
+    for mode in ("practical", "theoretical"):
+        assert main(["verify-eb", "--problem", thirty_row_problem, "--mode", mode,
+                     "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "30 rows, above " in captured.err
+
+
+def test_cli_theoretical_constants_above_exact_limit_exits_2(thirty_row_problem, capsys):
+    assert main(["constants", "--problem", thirty_row_problem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs an exact theta_bar" in captured.err
+    assert "30 rows, above exact_limit = 20" in captured.err
+
+
+def test_cli_box_above_the_subset_budget_exits_2(tmp_path, capsys):
+    # M has 16 + 32 = 48 rows, within --exact-limit 48, but the box
+    # enumeration would visit C(16, 5) 2^11 subsets
+    path = tmp_path / "box16.json"
+    save_instance(generate_nonconvex_qp(n=16, m=5, neg_eigs=5, rng_seed=0), path)
+    assert main(["constants", "--problem", str(path), "--exact-limit", "48"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "8,945,664 subsets" in err
 
 
 def test_cli_practical_solve_reports_null_theta(thirty_row_problem, capsys):
@@ -441,16 +465,18 @@ def _understated_lipschitz(factor):
     (_with(L_f=0.0), _NO_STEP_SIZES), (_with(L_f=-1.0), _NO_STEP_SIZES),
     (_with(L_f=1e308), _NO_STEP_SIZES), (_with(L_f=1e-320), _NO_STEP_SIZES),
     (_scaled_equalities(1e160), "smax(A)^2 = (1e+160)^2 is beyond float range"),
+    (_scaled_equalities(1e100), "alpha_max = c*gamma_K^2/(4*smax(A)^2) underflows to 0"),
     (_with(L_f=1e200), "gamma_K^2 = (2e+200)^2 is beyond float range"),
     _understated_lipschitz(0.2), _understated_lipschitz(0.1),
     (_with(f_lower=1e3, meta=dict(_small_problem()["meta"], f_lower_kind="exact")),
      "the exact f_lower = 1000.0 is above f(x_feas) = "),
-], ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160", "L_f=1e200",
+], ids=["L_f=0", "L_f=-1", "L_f=1e308", "L_f=1e-320", "A*1e160", "A*1e100", "L_f=1e200",
         "L_f=0.2|Q|", "L_f=0.1|Q|", "exact f_lower>f(x_feas)"])
 def test_cli_instances_without_step_sizes_exit_2(tmp_path, capsys, data, message):
     # for a subnormal L_f, L is finite but c = 0.99/L is not; past float range
-    # the message names the square that overflowed; an understated L_f or an
-    # exact f_lower above a feasible value would make the plan unsound
+    # the message names the square that overflowed, or the alpha_max that
+    # underflowed; an understated L_f or an exact f_lower above a feasible
+    # value would make the plan unsound
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
     for argv in (["constants"], ["constants", "--mode", "practical"], ["solve"],

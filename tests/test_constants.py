@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from sproxalm import constants
 from sproxalm.constants import (build_hoffman_matrix, hoffman_constant,
-                                hoffman_theta_exact, hoffman_theta_sampled,
-                                plan_stepsizes)
+                                hoffman_theta_exact, plan_stepsizes)
 from sproxalm.problem import fixed_instance_1d, generate_nonconvex_qp
 
 
@@ -60,7 +59,7 @@ def test_box_fast_path_matches_general_path(seed):
     m = int(rng.integers(1, n))
     A = rng.standard_normal((m, n))
     G = np.vstack([np.eye(n), -np.eye(n)])
-    theta_fast, exact = hoffman_constant(A, G, exact_limit=3 * n)
+    theta_fast, exact = hoffman_constant(A, G)
     assert exact
     M = build_hoffman_matrix(A, G)
     assert theta_fast == pytest.approx(hoffman_theta_exact(M), rel=1e-9)
@@ -71,7 +70,7 @@ def test_box_fast_path_without_equality_rows():
     for n in (1, 2, 4):
         A = np.zeros((0, n))
         G = np.vstack([np.eye(n), -np.eye(n)])
-        theta_fast, exact = hoffman_constant(A, G, exact_limit=3 * n)
+        theta_fast, exact = hoffman_constant(A, G)
         assert exact
         assert theta_fast == pytest.approx(hoffman_theta_exact(build_hoffman_matrix(A, G)),
                                            rel=1e-9)
@@ -88,25 +87,48 @@ def test_hoffman_row_permutation_invariance():
     assert t1 == pytest.approx(t2, rel=1e-12)
 
 
-def test_sampled_estimate_is_lower_bound():
-    rng = np.random.default_rng(9)
-    for seed in range(5):
-        A = np.random.default_rng(seed).standard_normal((2, 5))
-        G = np.vstack([np.eye(5), -np.eye(5)])
-        M = build_hoffman_matrix(A, G)
-        exact = hoffman_theta_exact(M)
-        sampled = hoffman_theta_sampled(M, 3000, rng)
-        assert sampled <= exact * (1 + 1e-12)
-
-
-def test_hoffman_gate_switches_to_sampling():
+def test_hoffman_gate_refuses_above_exact_limit():
+    # the planner alone gates theta on the rows of M; above the gate there is no theta
     inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=0)
+    with pytest.raises(ValueError, match=r"has 30 rows, above exact_limit = 20"):
+        plan_stepsizes(inst, "theoretical", exact_limit=20)
+    _, rep = plan_stepsizes(inst, "theoretical", exact_limit=30)
     G, _ = inst.polyhedron.as_halfspaces()
-    theta, exact = hoffman_constant(inst.eq_matrix, G, exact_limit=20)
-    assert not exact  # 30 rows > 20
-    theta_ex, exact2 = hoffman_constant(inst.eq_matrix, G, exact_limit=30)
-    assert exact2
-    assert theta <= theta_ex * (1 + 1e-12)
+    assert rep.theta_exact and rep.theta_bar == hoffman_constant(inst.eq_matrix, G)[0]
+
+
+def _box_hoffman_system(n, m, seed):
+    A = np.random.default_rng(seed).standard_normal((m, n))
+    return A, np.vstack([np.eye(n), -np.eye(n)])
+
+
+def test_box_enumeration_above_the_budget_is_refused_before_any_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the budget must be checked before any subset is built")
+
+    monkeypatch.setattr(constants, "_box_reduced_singular_values", no_svd)
+    A, G = _box_hoffman_system(16, 5, seed=0)   # C(16, 5) 2^11 subsets
+    with pytest.raises(ValueError, match="8,945,664 subsets"):
+        hoffman_constant(A, G)
+
+
+def test_generic_enumeration_above_the_budget_is_refused():
+    M = np.random.default_rng(0).standard_normal((40, 12))   # C(40, 12) subsets
+    with pytest.raises(ValueError, match="5,586,853,480 subsets"):
+        hoffman_theta_exact(M)
+
+
+@pytest.mark.parametrize("name, value", [("_EXACT_CHUNK", 7), ("_CHUNK_FLOATS", 1)])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 5_000), n=st.integers(2, 5), data=st.data())
+def test_exact_theta_is_the_same_in_any_chunking(name, value, seed, n, data):
+    # the box and the generic enumeration, in blocks of 7 subsets or of one
+    A, G = _box_hoffman_system(n, data.draw(st.integers(0, n - 1)), seed)
+    M = build_hoffman_matrix(A, G)
+    whole = hoffman_constant(A, G)[0], hoffman_theta_exact(M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constants, name, value)
+        assert (hoffman_constant(A, G)[0], hoffman_theta_exact(M)) == whole
 
 
 # ------------------------------------------------------------ step planning
@@ -142,11 +164,11 @@ def test_practical_mode_flags_uncertified_beta():
     assert any("no theoretical guarantee" in w for w in rep.warnings)
 
 
-def test_theoretical_warns_on_sampled_theta():
+def test_theoretical_refuses_above_exact_limit():
     inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=2)
-    _, rep = plan_stepsizes(inst, "theoretical", exact_limit=20)
-    assert not rep.theta_exact
-    assert any("lower bound" in w for w in rep.warnings)
+    with pytest.raises(ValueError, match=r"needs an exact theta_bar.* 30 rows, above "
+                                         r"exact_limit = 20"):
+        plan_stepsizes(inst, "theoretical")
 
 
 def test_beta_below_machine_epsilon_warns():
@@ -169,15 +191,12 @@ def _thirty_row_box_instance():
     return generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=0)   # M has 10 + 20 rows
 
 
-def test_practical_plan_above_exact_limit_draws_no_samples(monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a practical plan must not sample theta")
-
-    monkeypatch.setattr(constants, "hoffman_theta_sampled", no_sampling)
+def test_practical_plan_above_exact_limit_draws_no_samples():
     params, rep = plan_stepsizes(_thirty_row_box_instance(), "practical", exact_limit=20)
     assert rep.theta_bar is None and rep.sigma5_bar is None and rep.beta_max is None
     assert rep.theta_exact is False
-    assert any("theta_bar not computed" in w for w in rep.warnings)
+    assert any("theta_bar not computed" in w and "has 30 rows, above exact_limit = 20" in w
+               for w in rep.warnings)
     assert any("no theoretical guarantee" in w for w in rep.warnings)
     d = rep.to_dict()
     assert d["theta_bar"] is None and d["sigma5_bar"] is None and d["beta_max"] is None
