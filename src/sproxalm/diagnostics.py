@@ -21,8 +21,8 @@ logger = logging.getLogger(__name__)
 from .constants import SolverParams, sigma5_from_theta
 from .exceptions import ConvergenceError, StepMismatchError
 from .problem import ProblemInstance, QuadraticObjective
-from .projection import StronglyConvexQP
-from .solvers import (IterateState, K_value, _smoothed_step, inner_minimize_K, prox_qp,
+from .projection import StronglyConvexQP, nnls
+from .solvers import (IterateState, K_value, _norm, _smoothed_step, inner_minimize_K, prox_qp,
                       solve_constrained_strongly_convex)
 
 
@@ -81,8 +81,6 @@ def certificate_minnorm(inst: ProblemInstance, x, y) -> StationarityReport:
     if N.shape[1] == 0:
         v = g0
     else:
-        from scipy.optimize import nnls   # imported on use: box solves never load scipy
-
         mu, _ = nnls(N, -g0)
         v = g0 + N @ mu
     eq = float(np.linalg.norm(inst.eq_matrix @ x - inst.eq_rhs))
@@ -143,10 +141,10 @@ class MonitorContext:
         self._last = (state_t1.copy(), phi_t1)
         x_step = inner_minimize_K(inst, state_t1.y, state_t.z, params,
                                   x0=self._warm.get("x_inner"))
-        eq_inner = float(np.linalg.norm(inst.eq_matrix @ x_step - inst.eq_rhs))
+        eq_inner = _norm(inst.eq_matrix @ x_step - inst.eq_rhs)
         if dx_norm is None:
-            dx_norm = float(np.linalg.norm(state_t1.x - state_t.x))
-        dz_norm = float(np.linalg.norm(state_t1.z - state_t.z))
+            dx_norm = _norm(state_t1.x - state_t.x)
+        dz_norm = _norm(state_t1.z - state_t.z)
 
         slack = 1e-6 * (1.0 + abs(phi_t))
         rhs = (dx_norm ** 2 / (4.0 * params.c)
@@ -159,7 +157,7 @@ class MonitorContext:
             lower_bound_ok = phi_t >= self.lower_bound - 1e-8
 
         # one-step error bound: sigma2 ||x+ - x(y+, z)|| <= ||x+ - x|| + slack
-        step_err = self.sigma2 * float(np.linalg.norm(state_t1.x - x_step))
+        step_err = self.sigma2 * _norm(state_t1.x - x_step)
         step_ok = step_err <= dx_norm + slack
 
         return {

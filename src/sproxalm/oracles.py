@@ -19,6 +19,7 @@ from .exceptions import InfeasibleError
 from .problem import Box, ProblemInstance
 
 _TOL = 1e-9   # feasibility, multiplier-sign and KKT-residual tolerance of the oracles
+_FACE_BATCH = 2 ** 16   # box faces per batched solve of _box_faces: bounds its memory
 
 
 @dataclass
@@ -121,13 +122,16 @@ def _box_faces(inst: ProblemInstance, bound_tol: float, skip_singular: bool):
     The faces with free set F share the KKT matrix
     [[Q_FF, A_F'], [A_F, 0]], so each of the 2^n matrices is solved once
     for the right-hand sides of all 2^(n-|F|) lo/hi choices of the fixed
-    coordinates.  A singular matrix (numerical rank below its order) has
-    its faces solved by ``lstsq``, or skipped when ``skip_singular``.  A
-    face is kept when its KKT residual is within 1e-8 (relative), its
-    free coordinates within ``bound_tol`` of the box, and its clipped
-    point satisfies Ax = b to 1e-8 (relative); a vertex, when it
-    satisfies Ax = b to 1e-9 (relative).  Faces that fix a coordinate at an
-    infinite bound are left out.
+    coordinates; the matrices of one free-set size k go through one
+    batched ``eigvalsh`` and one batched ``solve`` (in batches of at most
+    ``_FACE_BATCH`` faces, so one batch up to n = 11).  A singular matrix
+    (numerical rank below its order) has its faces solved by ``lstsq``,
+    or skipped when ``skip_singular``.  A face is kept when its KKT
+    residual is within 1e-8 (relative), its free coordinates within
+    ``bound_tol`` of the box, and its clipped point satisfies Ax = b to
+    1e-8 (relative); a vertex, when it satisfies Ax = b to 1e-9
+    (relative).  Faces that fix a coordinate at an infinite bound are
+    left out.
 
     Returns (digits, X, Y): one row per kept face, its digits, its point
     and its equality multipliers (zero at a vertex).
@@ -139,51 +143,64 @@ def _box_faces(inst: ProblemInstance, bound_tol: float, skip_singular: bool):
     lo, hi = inst.polyhedron.lo, inst.polyhedron.hi
     b_scale = 1.0 + np.linalg.norm(b)
     cols = np.arange(n)
+    fixed_sets = (np.arange(2 ** n)[:, None] >> cols) & 1 == 1
+    batches = []   # fixed sets of one size, at most _FACE_BATCH faces per batch
+    for r in range(n + 1):
+        of_size = fixed_sets[fixed_sets.sum(axis=1) == r]
+        step = max(1, _FACE_BATCH >> r)
+        batches += [of_size[i:i + step] for i in range(0, len(of_size), step)]
     kept_d, kept_x, kept_y = [np.zeros((0, n), dtype=int)], [np.zeros((0, n))], [np.zeros((0, m))]
-    for mask in range(2 ** n):
-        fixed = (mask >> cols) & 1 == 1
-        F, C = cols[~fixed], cols[fixed]
-        k, r = F.size, C.size
+    for fixed in batches:
+        # B free sets F of size k and their fixed sets C, each sorted
+        B, r = fixed.shape[0], int(fixed[0].sum())
+        k = n - r
+        F = np.nonzero(~fixed)[1].reshape(B, k)
+        C = np.nonzero(fixed)[1].reshape(B, r)
         at_hi = (np.arange(2 ** r)[:, None] >> np.arange(r)) & 1 == 1
-        XC = np.where(at_hi, hi[C], lo[C])
-        finite = np.isfinite(XC).all(axis=1)
-        at_hi, XC = at_hi[finite], XC[finite]
-        X = np.empty((XC.shape[0], n))
-        X[:, C] = XC
+        XC = np.where(at_hi, hi[C][:, None], lo[C][:, None])   # (B, 2^r, r)
+        keep = np.isfinite(XC).all(axis=2)
+        XC[~keep] = 0.0
+        face, choice = np.arange(B)[:, None, None], np.arange(2 ** r)[:, None]
+        digits = np.zeros((B, 2 ** r, n), dtype=int)
+        digits[face, choice, C[:, None]] = 1 + at_hi
+        X = np.zeros((B, 2 ** r, n))
+        X[face, choice, C[:, None]] = XC
         if k == 0:
             if m and skip_singular:  # a vertex's KKT matrix is the m x m zero block
                 continue
-            keep = np.linalg.norm(X @ A.T - b, axis=1) <= _TOL * b_scale
-            Y = np.zeros((X.shape[0], m))
+            keep &= np.linalg.norm(X @ A.T - b, axis=2) <= _TOL * b_scale
+            Y = np.zeros((B, 2 ** r, m))
         else:
-            QF, AF = Q[F], A[:, F]
-            K = np.zeros((k + m, k + m))
-            K[:k, :k] = QF[:, F]
-            K[:k, k:] = AF.T
-            K[k:, :k] = AF
-            rhs = np.empty((XC.shape[0], k + m))
-            rhs[:, :k] = -(q[F] + XC @ QF[:, C].T)
-            rhs[:, k:] = b - XC @ A[:, C].T
+            QF = Q[F]
+            K = np.zeros((B, k + m, k + m))
+            K[:, :k, :k] = np.take_along_axis(QF, F[:, None], axis=2)
+            K[:, :k, k:] = A.T[F]
+            K[:, k:, :k] = A.T[F].transpose(0, 2, 1)
+            rhs = np.empty((B, 2 ** r, k + m))
+            rhs[..., :k] = -(q[F][:, None] + XC @ np.take_along_axis(QF, C[:, None], axis=2)
+                             .transpose(0, 2, 1))
+            rhs[..., k:] = b - XC @ A.T[C]
             # LU can factor a rank-deficient K (every K with k < m) through
             # roundoff into points that miss Ax = b by ~1e-12 and shift the
             # value by as much, so singularity is decided by rank, not by
             # an exact zero pivot.  K is symmetric: its |eigenvalues| are
             # its singular values, cut as in np.linalg.matrix_rank.
             sv = np.abs(np.linalg.eigvalsh(K))
-            if sv.min() > sv.max() * (k + m) * np.finfo(float).eps:
-                sol = np.linalg.solve(K, rhs.T).T
-            elif skip_singular:
-                continue
-            else:
-                sol = np.linalg.lstsq(K, rhs.T, rcond=None)[0].T
-            resid = np.linalg.norm(sol @ K.T - rhs, axis=1)
-            keep = resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=1))
-            xf, Y = sol[:, :k], sol[:, k:]
-            keep &= ((xf >= lo[F] - bound_tol) & (xf <= hi[F] + bound_tol)).all(axis=1)
-            X[:, F] = np.clip(xf, lo[F], hi[F])
-            keep &= np.linalg.norm(X @ A.T - b, axis=1) <= 1e-8 * b_scale
-        digits = np.zeros((X.shape[0], n), dtype=int)
-        digits[:, C] = 1 + at_hi
+            full = sv.min(axis=1) > sv.max(axis=1) * (k + m) * np.finfo(float).eps
+            sol = np.zeros_like(rhs)
+            sol[full] = np.linalg.solve(K[full], rhs[full].transpose(0, 2, 1)).transpose(0, 2, 1)
+            for i in np.flatnonzero(~full):
+                if skip_singular:
+                    keep[i] = False
+                else:
+                    sol[i] = np.linalg.lstsq(K[i], rhs[i].T, rcond=None)[0].T
+            resid = np.linalg.norm(sol @ K.transpose(0, 2, 1) - rhs, axis=2)
+            keep &= resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=2))
+            xf, Y = sol[..., :k], sol[..., k:]
+            loF, hiF = lo[F][:, None], hi[F][:, None]
+            keep &= ((xf >= loF - bound_tol) & (xf <= hiF + bound_tol)).all(axis=2)
+            X[face, choice, F[:, None]] = np.clip(xf, loF, hiF)
+            keep &= np.linalg.norm(X @ A.T - b, axis=2) <= 1e-8 * b_scale
         kept_d.append(digits[keep])
         kept_x.append(X[keep])
         kept_y.append(Y[keep])

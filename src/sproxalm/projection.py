@@ -1,5 +1,6 @@
-"""Euclidean projection onto the polyhedral set P, and an exact solver
-for strongly convex QPs over {Ax = b, Gx <= h}.
+"""Euclidean projection onto the polyhedral set P, an exact solver for
+strongly convex QPs over {Ax = b, Gx <= h}, and the nonnegative
+least-squares solver that both rest on.
 
 Boxes project by componentwise clamping.  A halfspace system projects by
 one least-distance solve: the projection of x onto {Gx <= h} is the QP
@@ -9,11 +10,12 @@ from a factorisation that the polyhedron builds once.  Both are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InfeasibleError
+from .exceptions import ConvergenceError, InfeasibleError
 from .problem import Box, Polyhedron
 
 
@@ -40,6 +42,58 @@ def project(P: Polyhedron, x: np.ndarray) -> ProjectionResult:
                             residual=float(np.max(P.G @ point - P.h, initial=0.0)))
 
 
+def nnls(M, e, passive=None):
+    """v >= 0 minimising ||Mv - e|| by the active-set method of Lawson &
+    Hanson (Solving Least Squares Problems, ch. 23); returns (v, P), P the
+    boolean mask of the passive columns, those free to be positive.
+
+    Every iterate is v[P] = lstsq(M[:, P], e), zero off P.  The iteration
+    ends on a P that meets the KKT conditions: v > 0 on P, and
+    w = M'(e - Mv) <= tol off it, with tol = 10 max(M.shape) eps ||M||_F ||e||.
+    A ``passive`` mask that meets them is returned with its v after one
+    lstsq (a hot start); any other is ignored.  Off degenerate problems the
+    KKT conditions fix P, so the start changes the work, not the bits of v.
+    """
+    M = np.asarray(M, dtype=float)
+    e = np.asarray(e, dtype=float)
+    n = M.shape[1]
+    tol = 10 * max(M.shape) * np.finfo(float).eps * math.sqrt(np.vdot(M, M) * (e @ e))
+
+    def fit(P):
+        v = np.zeros(n)
+        v[P] = np.linalg.lstsq(M[:, P], e, rcond=None)[0]
+        return v
+
+    if passive is not None:
+        v = fit(passive)
+        if (v[passive] > 0.0).all() and ((M.T @ (e - M @ v))[~passive] <= tol).all():
+            return v, passive
+    P = np.zeros(n, dtype=bool)
+    v, w = np.zeros(n), M.T @ e
+    for _ in range(3 * n + 1):
+        w[P] = -np.inf
+        if not n or w.max() <= tol:
+            return v, P
+        t = int(np.argmax(w))
+        P[t] = True
+        z = fit(P)
+        if z[t] <= 0.0:   # roundoff: column t does not lower the residual; skip it this round
+            P[t] = False
+            w[t] = -np.inf
+            continue
+        while np.any(z[P] <= 0.0):   # step back to the first bound hit and drop that column
+            B = np.flatnonzero(P & (z <= 0.0))
+            ratios = v[B] / (v[B] - z[B])
+            i = int(np.argmin(ratios))
+            v += ratios[i] * (z - v)
+            v[B[i]] = 0.0
+            P &= v > 0.0
+            z = fit(P)
+        v = z
+        w = M.T @ (e - M @ v)
+    raise ConvergenceError(f"NNLS did not converge in {3 * n + 1} iterations", best=v)
+
+
 class StronglyConvexQP:
     """Exact solver of  min 0.5 x'Hx + c'x  s.t.  Ax = b, Gx <= h  for one
     constraint matrix pair (A, G) and many linear terms c and equality
@@ -50,13 +104,12 @@ class StronglyConvexQP:
     is factored once.  With T = L^{-1}N', the substitution
     u = L'w + T(Hx0 + c) turns each solve into the least-distance problem
     min ||u|| s.t. E u <= f, E = GT', which is one nonnegative least-squares
-    problem (Lawson & Hanson, Solving Least Squares Problems, ch. 23).
-    Empty feasible sets raise InfeasibleError.
+    problem, solved by ``nnls``.  Each solve hot-starts from the passive set
+    of the last one, which changes its work but not its result.  Empty
+    feasible sets raise InfeasibleError.
     """
 
     def __init__(self, H, A, b, G, h):
-        from scipy.linalg import solve_triangular   # imported on use: box solves never load scipy
-
         H = np.atleast_2d(np.asarray(H, dtype=float))
         n = H.shape[0]
         A = np.asarray(A, dtype=float).reshape(-1, n)
@@ -65,12 +118,13 @@ class StronglyConvexQP:
         r = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0])) if s.size else 0
         self._A_pinv = (Vt[:r].T / s[:r]) @ U[:, :r].T
         N = Vt[r:].T
-        self._T = solve_triangular(np.linalg.cholesky(N.T @ H @ N), N.T, lower=True)
+        self._T = np.linalg.solve(np.linalg.cholesky(N.T @ H @ N), N.T)
         self._Et = self._T @ G.T   # E'
         self._M = np.vstack([-self._Et, np.zeros(G.shape[0])])   # last row: -f'/s per solve
         self._H, self._A, self._G = H, A, G
         self._h = np.asarray(h, dtype=float).reshape(-1)
         self._shifted = self._shift(b)
+        self._passive = None   # passive set of the last NNLS: the next solve's hot start
 
     def _shift(self, b):
         """(x0, T H x0, h - G x0) for the right-hand side b, x0 = A^+ b."""
@@ -83,8 +137,6 @@ class StronglyConvexQP:
     def solve(self, c, b=None):
         """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0, for the
         equality right-hand side b (by default the one given at construction)."""
-        from scipy.optimize import nnls   # imported on use: box solves never load scipy
-
         x0, t0, f0 = self._shifted if b is None else self._shift(b)
         c = np.asarray(c, dtype=float)
         t = t0 + self._T @ c
@@ -95,12 +147,12 @@ class StronglyConvexQP:
             # v >= 0 minimising ||[E'; f'/s] v + e_last|| gives the multipliers
             # mu = s v / (1 + f'v/s) and u = -E'mu; 1 + f'v/s = 0 means no feasible u.
             # s = ||f|| keeps ||u|| near 1, so that denominator stays clear of roundoff.
-            scale = float(np.linalg.norm(f))
+            scale = math.sqrt(f @ f)
             M = self._M.copy()
             M[-1] = -f / scale
             e = np.zeros(M.shape[0])
             e[-1] = 1.0
-            v, _ = nnls(M, e)
+            v, self._passive = nnls(M, e, self._passive)
             denom = 1.0 + float(f @ v) / scale
             if denom <= 1e-10:
                 raise InfeasibleError("the inequality system Gx <= h misses the affine set Ax = b")

@@ -167,7 +167,7 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: 
             raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
                                   f"{_GUARD:g})", state=x)
         x_new = _proj(P, x_new)
-        res = L * float(np.linalg.norm(x - x_new))
+        res = L * _norm(x - x_new)
         if res <= tol:
             return x, res, True
         x = x_new
@@ -236,10 +236,10 @@ def solve_constrained_strongly_convex(inst: ProblemInstance, z, params: SolverPa
     if qp is None:
         qp = prox_qp(inst, p)
     x, y, _mu = qp.solve(inst.objective.q - p * z)
-    feas = float(np.linalg.norm(inst.eq_matrix @ x - inst.eq_rhs))
+    feas = _norm(inst.eq_matrix @ x - inst.eq_rhs)
     sol = ProxSolution(x=x, value=inst.f(x) + 0.5 * p * float(np.dot(x - z, x - z)),
                        y=y, eq_residual=feas, outer_iters=1)
-    if feas > tol * (1.0 + float(np.linalg.norm(inst.eq_rhs))):
+    if feas > tol * (1.0 + _norm(inst.eq_rhs)):
         raise ConvergenceError("proximal solution misses Ax = b by more than tol",
                                best=sol, residual=feas)
     return sol

@@ -324,18 +324,25 @@ def test_cli_entrypoint_module():
     assert "solve" in out.stdout and "gen-qp" in out.stdout
 
 
-def test_cli_box_solve_loads_no_scipy(tmp_path):
-    """Only factorised QPs and NNLS certificates need scipy, so a fresh
-    interpreter that generates and solves a box problem never loads it.
-    A subprocess: this test session has imported scipy already."""
-    problem, trace = str(tmp_path / "qp.json"), str(tmp_path / "trace.csv")
+def test_cli_loads_no_scipy(tmp_path):
+    """The library needs numpy only: a fresh interpreter that solves a box
+    problem, and runs the monitor, the error-bound verifier and the
+    segment tracer on a halfspace problem, never loads scipy.  A
+    subprocess: this test session has imported scipy already."""
+    box, trace = str(tmp_path / "qp.json"), str(tmp_path / "trace.csv")
+    halfspaces = str(tmp_path / "halfspaces.json")
+    save_instance(make_general_instance(6, 2, 4, neg_eigs=2, seed=62), halfspaces)
     code = "\n".join([
         "import json, sys",
         "from sproxalm.cli import main",
         f"assert main(['gen-qp', '--n', '6', '--m', '2', '--neg-eigs', '2', '--seed', '3',"
-        f" '--out', {problem!r}]) == 0",
-        f"assert main(['solve', '--problem', {problem!r}, '--max-iters', '500',"
+        f" '--out', {box!r}]) == 0",
+        f"assert main(['solve', '--problem', {box!r}, '--max-iters', '500',"
         f" '--trace', {trace!r}]) == 0",
+        f"assert main(['verify-eb', '--problem', {halfspaces!r}, '--samples', '3']) == 0",
+        f"assert main(['solve', '--problem', {halfspaces!r}, '--mode', 'theoretical',"
+        f" '--max-iters', '20', '--monitor', 'full']) == 0",
+        f"assert main(['trace-segment', '--problem', {halfspaces!r}, '--grid', '21']) == 0",
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
     ])
     src = str(Path(sproxalm.__file__).resolve().parent.parent)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from sproxalm.exceptions import InfeasibleError
 from sproxalm.oracles import project_polyhedron_exact
 from sproxalm.problem import Box, Halfspaces
-from sproxalm.projection import StronglyConvexQP, project
+from sproxalm.projection import StronglyConvexQP, nnls, project
 
 
 def test_box_clamp_example():
@@ -122,3 +123,77 @@ def test_strongly_convex_qp_takes_the_equality_rhs_per_solve():
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     with pytest.raises(InfeasibleError):
         qp.solve(np.zeros(n), A @ x_feas + np.array([0.0, 0.0, 1.0]))
+
+
+def _nnls_case(seed, kind):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 21))
+    M = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    e = rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4)
+    if kind == "rank-deficient":   # columns that repeat others up to a factor
+        copies = rng.integers(0, cols, cols)
+        M = M[:, copies] * rng.choice([-2.0, 0.5, 1.0, 3.0], cols)
+    elif kind == "zero-column":
+        M[:, rng.random(cols) < 0.3] = 0.0
+    elif kind == "in-range":
+        e = M @ np.abs(rng.standard_normal(cols))
+    return M, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["random", "rank-deficient", "zero-column", "in-range"]))
+def test_nnls_matches_reference_residual(seed, kind):
+    # scipy's NNLS is the reference; the solution need not be unique, the residual is
+    M, e = _nnls_case(seed, kind)
+    v, passive = nnls(M, e)
+    reference, _ = scipy_nnls(M, e)
+    assert np.all(v >= 0.0) and np.array_equal(passive, v > 0.0)
+    residual = np.linalg.norm(M @ v - e)
+    assert abs(residual - np.linalg.norm(M @ reference - e)) <= 1e-12 * np.linalg.norm(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_nnls_meets_its_kkt_conditions_on_low_rank_matrices(seed):
+    # no reference here: scipy's NNLS can stop on such M with v near 1e15
+    # and a larger residual, so the KKT conditions certify the solution
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 21))
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    e = rng.standard_normal(rows)
+    v, passive = nnls(M, e)
+    w = M.T @ (e - M @ v)
+    scale = np.linalg.norm(M) * np.linalg.norm(e)
+    assert np.all(v[passive] > 0.0) and np.all(v[~passive] == 0.0)
+    assert np.all(w[~passive] <= 1e-11 * scale) and np.all(np.abs(w[passive]) <= 1e-11 * scale)
+
+
+def test_nnls_without_columns_or_target():
+    v, passive = nnls(np.zeros((3, 0)), np.ones(3))
+    assert v.shape == passive.shape == (0,)
+    v, passive = nnls(np.ones((3, 2)), np.zeros(3))
+    assert np.array_equal(v, np.zeros(2)) and not passive.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_strongly_convex_qp_solve_does_not_depend_on_earlier_solves(seed):
+    # each solve hot-starts from the last one's passive set: that may only save work
+    rng = np.random.default_rng(seed)
+    n = 6
+    R = rng.standard_normal((n, n))
+    H, A = R @ R.T + np.eye(n), rng.standard_normal((2, n))
+    G = rng.standard_normal((8, n))
+    x_feas = rng.standard_normal(n)
+    b, h = A @ x_feas, G @ x_feas + rng.uniform(0.1, 1.0, 8)
+    cs = rng.standard_normal((6, n)) * 5
+    cold = [StronglyConvexQP(H, A, b, G, h).solve(c) for c in cs]
+    qp = StronglyConvexQP(H, A, b, G, h)
+    for c in np.vstack([cs, cs[::-1]]):
+        qp.solve(c)
+    for i, want in enumerate(cold):
+        qp.solve(cs[i - 1])
+        for got, exp in zip(qp.solve(cs[i]), want):
+            assert np.array_equal(got, exp)
