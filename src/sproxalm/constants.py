@@ -15,12 +15,24 @@ Every theta_bar is exact: both enumerations, C(rows, rank) subsets in
 general and C(n, m) 2^(n-m) on a box, share one subset budget that is
 checked before any subset is built, and a count above it raises
 ValueError.
+
+Each enumeration runs bound-then-SVD.  A square subset S (of M V_r, or a
+compressed box stack) has sigma_max(S) <= sigma_max(M) by interlacing and
+sigma_min(S) >= 1/||S^-1||_F, so one batched inverse bounds every
+subset's ratio by sigma_max(M)^2 ||S^-1||_F^4.  The exact batched SVD then
+visits subsets in decreasing order of that bound and stops once the next
+bound falls below the best exact ratio: the maximizing subset gets the
+same SVD as in a full enumeration, so theta_bar is the same to the bit,
+while the subsets that the bound rules out (over 99% of the n = 10, m = 3
+box's 15,360) get none.  That a Hoffman constant need not cost a full
+visit of every subset is the point of Pena, Vera & Zuluaga,
+arXiv 1804.08418 (2018).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -28,9 +40,11 @@ import numpy as np
 from .problem import ProblemInstance
 
 _EPS = np.finfo(float).eps
-_MAX_EXACT_SUBSETS = 1_100_000   # about a minute of batched SVDs at n = 14
-_EXACT_CHUNK = 20_000            # subsets per batched SVD
+_MAX_EXACT_SUBSETS = 1_100_000   # n = 14, m = 4 box: 0.06 s when the bound rules out
+                                 # nearly every subset, 26 s of SVDs if it rules out none
+_EXACT_CHUNK = 20_000            # subsets per batched SVD or inverse
 _CHUNK_FLOATS = 8_000_000        # and at most 64 MB of stacked submatrices
+_SAFETY = 1.0 + 1e-6             # roundoff margin before a bound rules a subset out
 
 
 def build_hoffman_matrix(A, G) -> np.ndarray:
@@ -47,10 +61,12 @@ def build_hoffman_matrix(A, G) -> np.ndarray:
     ])
 
 
-def _rank_and_tol(M) -> tuple[int, float]:
+def _rank_and_tol(M, s=None) -> tuple[int, float]:
     """Numerical rank of M (the ``np.linalg.matrix_rank`` rule) and the
-    singular-value floor of its row subsets, both from one SVD of M."""
-    s = np.linalg.svd(M, compute_uv=False)
+    singular-value floor of its row subsets, both from the singular values
+    s of M (one SVD of M when s is not given)."""
+    if s is None:
+        s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0:
         return 0, 0.0
     rank = int(np.count_nonzero(s > s[0] * max(M.shape) * _EPS))
@@ -78,28 +94,96 @@ def _check_budget(subsets: int) -> None:
                          f"of {_MAX_EXACT_SUBSETS:,}")
 
 
-def _blocks(items, floats_each: int):
-    """The items of an iterator in lists of at most _EXACT_CHUNK, and of at
-    most _CHUNK_FLOATS floats when each item's stack holds floats_each."""
-    size = max(1, min(_EXACT_CHUNK, _CHUNK_FLOATS // max(floats_each, 1)))
-    while block := list(islice(items, size)):
-        yield block
+def _block_size(floats_each: int) -> int:
+    """Items per block: at most _EXACT_CHUNK, and at most _CHUNK_FLOATS floats
+    when each item's stack holds floats_each."""
+    return max(1, min(_EXACT_CHUNK, _CHUNK_FLOATS // max(floats_each, 1)))
+
+
+def _inverses(stack):
+    """Inverse of each square matrix of a stack; NaN where LU finds one singular."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(stack)[0] != 0
+        inv = np.full(stack.shape, np.nan)
+        if ok.any() and not ok.all():
+            inv[ok] = _inverses(stack[ok])
+        return inv
+
+
+def _theta_bounds(inv_fro2, smax, tol):
+    """Upper bounds on sigma_max^2/sigma_min^4 of square subsets with
+    ||S^-1||_F^2 = inv_fro2 and sigma_max(S) <= smax.
+
+    sigma_min(S) >= 1/||S^-1||_F, less 2 tol: the computed inverse and the
+    SVD that gives the exact ratio each carry an error of about tol.  The
+    bound is inf where that floor is not positive or not finite.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        floor = 1.0 / np.sqrt(inv_fro2) - 2.0 * tol
+        bound = np.float64(smax) ** 2 / floor ** 4
+    return np.where((floor > 0) & np.isfinite(bound), bound, np.inf)
+
+
+def _max_by_bound(bounds, exact) -> float:
+    """Max of exact(indices) over every subset, visited in decreasing order
+    of bounds[index] in growing blocks, until the next bound times _SAFETY
+    is below the best exact value: no subset left unvisited can attain it."""
+    first = int(np.argmax(bounds))
+    best = exact(np.array([first]))
+    live = np.flatnonzero(bounds * _SAFETY >= best)
+    live = live[live != first]
+    order = live[np.argsort(-bounds[live], kind="stable")]
+    start, size = 0, 1
+    while start < order.size and bounds[order[start]] * _SAFETY >= best:
+        size *= 2
+        best = max(best, exact(order[start:start + size]))
+        start += size
+    return best
+
+
+def _generic_bounds(MV, smax, tol):
+    """Every r-row subset of the rows x r matrix MV, as rows of an index
+    array, and the bound on its ratio from the batched inverse of MV[subset]."""
+    rows, r = MV.shape
+    subsets = np.empty((comb(rows, r), r), dtype=np.min_scalar_type(rows))
+    bounds = np.empty(len(subsets))
+    size, all_subsets = _block_size(r * r), combinations(range(rows), r)
+    for lo in range(0, len(subsets), size):
+        hi = min(lo + size, len(subsets))
+        subsets[lo:hi] = list(islice(all_subsets, hi - lo))
+        inv = _inverses(MV[subsets[lo:hi]])
+        bounds[lo:hi] = _theta_bounds(np.einsum("bij,bij->b", inv, inv), smax, tol)
+    return subsets, bounds
 
 
 def hoffman_theta_exact(M) -> float:
-    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices:
-    one batched SVD per block of the C(rows, rank(M)) rank(M)-row subsets."""
+    """Exact max of sigma_max^2/sigma_min^4 over full-row-rank row submatrices,
+    over the C(rows, r) r-row subsets, r = rank(M).
+
+    One SVD of M gives r, the floor, sigma_max(M) and the row-space basis
+    V_r.  The r x r rows of M V_r of a subset have singular values no larger
+    than the subset's own, so their batched inverse bounds its ratio; the
+    batched SVD of M's rows then visits the subsets by decreasing bound.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    r, tol = _rank_and_tol(M)
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    r, tol = _rank_and_tol(M, s)
     if r == 0:
         return 0.0
     rows, cols = M.shape
     _check_budget(comb(rows, r))
-    best = 0.0
-    for block in _blocks(combinations(range(rows), r), r * cols):
-        sv = np.linalg.svd(M[np.asarray(block)], compute_uv=False)
-        best = max(best, _theta_from_singular_values(sv, tol))
-    return best
+    subsets, bounds = _generic_bounds(M @ Vt[:r].T, s[0], tol)
+
+    def exact(idx):
+        best, size = 0.0, _block_size(r * cols)
+        for lo in range(0, idx.size, size):
+            sv = np.linalg.svd(M[subsets[idx[lo:lo + size]]], compute_uv=False)
+            best = max(best, _theta_from_singular_values(sv, tol))
+        return best
+
+    return _max_by_bound(bounds, exact)
 
 
 def _two_sided_box_rows(G) -> bool:
@@ -141,47 +225,95 @@ def _box_reduced_singular_values(A_cols, S_top, J_mask, m):
     return np.linalg.svd(B, compute_uv=False)
 
 
-def hoffman_theta_exact_box(A, tol: float) -> float:
-    """Exact theta for M built from full-row-rank A and a finite two-sided box.
+def _box_bounds(A_cols, smax, tol):
+    """Bounds on the ratio of every compressed box stack B, in closed form.
+
+    A subset keeps the rows R of A' (|R| = m, A'_R invertible) and, for a
+    set J of the other variables, the rows a_j' with one bound row each
+    dropped.  Up to a permutation B = [[X, W], [0, I_d]] with
+    X = [[A'_R, 0], [A'_J, I_k]], so with C_R = (A'_R)^-1
+
+        ||B^-1||_F^2 = 3 ||C_R||_F^2 + m + sum_{j in J} (3 ||a_j' C_R||^2 + 3).
+
+    Returns the C(n, m) x m array of R, the C(n, m) x (n - m) array of the
+    variables outside each R, and the bounds: subset (R_i, J) at index
+    i 2^(n-m) + sum of 2^t over the positions t of J in row i of the second.
+    """
+    n, m = A_cols.shape
+    free = n - m
+    tops = np.array(list(combinations(range(n), m)), dtype=np.intp).reshape(comb(n, m), m)
+    outside = np.ones((len(tops), n), dtype=bool)
+    outside[np.arange(len(tops))[:, None], tops] = False
+    rest = np.nonzero(outside)[1].reshape(len(tops), free)
+    bounds = np.empty(len(tops) << free)
+    size = _block_size(n * m + (1 << free))   # the products, then the sums over J
+    for lo in range(0, len(tops), size):
+        inv = _inverses(A_cols[tops[lo:lo + size]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            proj = A_cols[rest[lo:lo + size]] @ inv
+            sums = 3.0 * np.einsum("bij,bij->b", inv, inv)[:, None] + m
+            for t in range(free):
+                q = 3.0 * np.einsum("bi,bi->b", proj[:, t], proj[:, t]) + 3.0
+                sums = np.concatenate([sums, sums + q[:, None]], axis=1)
+        bounds[lo << free:(lo + len(inv)) << free] = _theta_bounds(sums.ravel(), smax, tol)
+    return tops, rest, bounds
+
+
+def hoffman_theta_exact_box(A, smax: float, tol: float) -> float:
+    """Exact theta for M built from full-row-rank A and a finite two-sided box,
+    where sigma_max(M) = smax and tol is M's subset floor.
 
     Valid maximal submatrices keep top rows S_top (|S_top| = m + k) and
     drop one bound row for each of k distinct variables inside S_top;
     the two sign choices give identical singular values.  That makes
-    C(n, m) 2^(n-m) subsets, visited in blocks.
+    C(n, m) 2^(n-m) subsets, bounded in closed form (_box_bounds) and
+    visited by decreasing bound.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     _check_budget(comb(n, m) * 2 ** (n - m))
     A_cols = A.T.copy()   # row i = column i of A
-    best = 0.0
-    for k in range(0, n - m + 1):
-        d = m + k
-        masks = np.zeros((comb(d, k), d), dtype=bool)
-        for row, sel in enumerate(combinations(range(d), k)):
-            masks[row, list(sel)] = True
-        pairs = product(combinations(range(n), d), range(len(masks)))
-        for block in _blocks(pairs, 4 * d * d):   # each stack is 2d x 2d
-            tops, mask_rows = zip(*block)
-            sv = _box_reduced_singular_values(A_cols, np.asarray(tops, dtype=np.intp),
-                                              masks[list(mask_rows)], m)
-            # the compressed stack omits singular values equal to 1; they never
-            # attain the extremes since sigma_max >= sqrt(2) and sigma_min <= 1
-            best = max(best, _theta_from_singular_values(sv, tol))
-    return best
+    tops, rest, bounds = _box_bounds(A_cols, smax, tol)
+    free = n - m
+
+    def exact(idx):
+        tops_i, rest_i = tops[idx >> free], rest[idx >> free]
+        dropped = ((idx[:, None] >> np.arange(free)) & 1).astype(bool)
+        J = np.zeros((idx.size, n), dtype=bool)
+        J[np.nonzero(dropped)[0], rest_i[dropped]] = True
+        kept = J.copy()
+        kept[np.arange(idx.size)[:, None], tops_i] = True
+        ks = dropped.sum(axis=1)
+        best = 0.0
+        for k in np.unique(ks):
+            d, rows = m + int(k), ks == k
+            S_top = np.nonzero(kept[rows])[1].reshape(int(rows.sum()), d)
+            J_mask = np.take_along_axis(J[rows], S_top, axis=1)
+            size = _block_size(4 * d * d)   # each stack is 2d x 2d
+            for lo in range(0, len(S_top), size):
+                sv = _box_reduced_singular_values(A_cols, S_top[lo:lo + size],
+                                                  J_mask[lo:lo + size], m)
+                # the compressed stack omits singular values equal to 1; they never
+                # attain the extremes since sigma_max >= sqrt(2) and sigma_min <= 1
+                best = max(best, _theta_from_singular_values(sv, tol))
+        return best
+
+    return _max_by_bound(bounds, exact)
 
 
 def hoffman_constant(A, G) -> tuple[float, bool]:
     """Polyhedral error-bound constant theta_bar of the multiplier system.
 
     Builds M = [[A', G'], [0, I]] and returns (theta_bar, True): the exact
-    maximum over its full-row-rank submatrices.  An enumeration above the
-    subset budget raises ValueError naming its count.
+    maximum over its full-row-rank submatrices, from one SVD of M.  An
+    enumeration above the subset budget raises ValueError naming its count.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     M = build_hoffman_matrix(A, G)
     if (G is not None and np.size(G) and _two_sided_box_rows(G)
             and np.linalg.matrix_rank(A) == A.shape[0]):
-        return hoffman_theta_exact_box(A, _rank_and_tol(M)[1]), True
+        s = np.linalg.svd(M, compute_uv=False)
+        return hoffman_theta_exact_box(A, s[0], _rank_and_tol(M, s)[1]), True
     return hoffman_theta_exact(M), True
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,6 +26,51 @@ def theta_all_subsets_oracle(M, tol=None):
             if len(sv) == k and sv[-1] > tol:
                 best = max(best, sv[0] ** 2 / sv[-1] ** 4)
     return best
+
+
+def theta_full_generic(M):
+    """Reference: the batched SVD of every C(rows, rank) row subset of M, with
+    the rank and floor the library reads from its one SVD of M."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    r, tol = constants._rank_and_tol(M, np.linalg.svd(M, full_matrices=False)[1])
+    if r == 0:
+        return 0.0
+    subsets = itertools.combinations(range(M.shape[0]), r)
+    best = 0.0
+    while block := list(itertools.islice(subsets, constants._block_size(r * M.shape[1]))):
+        sv = np.linalg.svd(M[np.asarray(block)], compute_uv=False)
+        best = max(best, constants._theta_from_singular_values(sv, tol))
+    return best
+
+
+def theta_full_box(A, tol):
+    """Reference: the batched SVD of the compressed stack of every one of the
+    C(n, m) 2^(n-m) box subsets, k = 0, ..., n - m removed bound rows."""
+    m, n = A.shape
+    A_cols = A.T.copy()
+    best = 0.0
+    for k in range(0, n - m + 1):
+        d = m + k
+        masks = np.zeros((comb(d, k), d), dtype=bool)
+        for row, sel in enumerate(itertools.combinations(range(d), k)):
+            masks[row, list(sel)] = True
+        pairs = itertools.product(itertools.combinations(range(n), d), range(len(masks)))
+        while block := list(itertools.islice(pairs, constants._block_size(4 * d * d))):
+            tops, mask_rows = zip(*block)
+            sv = constants._box_reduced_singular_values(
+                A_cols, np.asarray(tops, dtype=np.intp), masks[list(mask_rows)], m)
+            best = max(best, constants._theta_from_singular_values(sv, tol))
+    return best
+
+
+def theta_full(A, G):
+    """Reference for ``hoffman_constant``: the same dispatch, every subset visited."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    M = build_hoffman_matrix(A, G)
+    if (G is not None and np.size(G) and constants._two_sided_box_rows(G)
+            and np.linalg.matrix_rank(A) == A.shape[0]):
+        return theta_full_box(A, constants._rank_and_tol(M)[1])
+    return theta_full_generic(M)
 
 
 # ----------------------------------------------------------------- hoffman
@@ -102,17 +148,20 @@ def _box_hoffman_system(n, m, seed):
     return A, np.vstack([np.eye(n), -np.eye(n)])
 
 
-def test_box_enumeration_above_the_budget_is_refused_before_any_svd(monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("the budget must be checked before any subset is built")
+def _never(*args, **kwargs):
+    raise AssertionError("the budget must be checked before any subset is built")
 
-    monkeypatch.setattr(constants, "_box_reduced_singular_values", no_svd)
+
+def test_box_enumeration_above_the_budget_is_refused_before_any_svd(monkeypatch):
+    monkeypatch.setattr(constants, "_box_reduced_singular_values", _never)
+    monkeypatch.setattr(constants, "_box_bounds", _never)   # nor any bound
     A, G = _box_hoffman_system(16, 5, seed=0)   # C(16, 5) 2^11 subsets
     with pytest.raises(ValueError, match="8,945,664 subsets"):
         hoffman_constant(A, G)
 
 
-def test_generic_enumeration_above_the_budget_is_refused():
+def test_generic_enumeration_above_the_budget_is_refused(monkeypatch):
+    monkeypatch.setattr(constants, "_generic_bounds", _never)
     M = np.random.default_rng(0).standard_normal((40, 12))   # C(40, 12) subsets
     with pytest.raises(ValueError, match="5,586,853,480 subsets"):
         hoffman_theta_exact(M)
@@ -129,6 +178,147 @@ def test_exact_theta_is_the_same_in_any_chunking(name, value, seed, n, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constants, name, value)
         assert (hoffman_constant(A, G)[0], hoffman_theta_exact(M)) == whole
+
+
+# ------------------------------------------ bound-then-SVD against every subset
+
+def _box_case(n, m, columns, seed):
+    """A random m x n A, with its first columns duplicated, zeroed or scaled by 1e-6."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
+    if m and n >= 2:
+        if columns == "duplicate":
+            A[:, 1] = A[:, 0]
+        elif columns == "zero":
+            A[:, 0] = 0.0
+        elif columns == "tiny":
+            A[:, :2] *= 1e-6
+    return A, np.vstack([np.eye(n), -np.eye(n)])
+
+
+_CHUNKINGS = [None, ("_EXACT_CHUNK", 7), ("_CHUNK_FLOATS", 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 7), data=st.data(),
+       columns=st.sampled_from(["plain", "duplicate", "zero", "tiny"]),
+       chunking=st.sampled_from(_CHUNKINGS))
+def test_pruned_box_theta_equals_every_subset(seed, n, data, columns, chunking):
+    # m = 0 and m = n included; a zero column at m = n leaves A rank-deficient
+    A, G = _box_case(n, data.draw(st.integers(0, n)), columns, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunking:
+            mp.setattr(constants, *chunking)
+        assert hoffman_constant(A, G)[0] == theta_full(A, G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 10), cols=st.integers(1, 6),
+       shape=st.sampled_from(["plain", "duplicate rows", "rank-deficient", "ill-scaled rows"]),
+       chunking=st.sampled_from(_CHUNKINGS))
+def test_pruned_generic_theta_equals_every_subset(seed, rows, cols, shape, chunking):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((rows, cols))
+    if shape == "duplicate rows" and rows >= 2:
+        M[rows - 1] = M[0]
+    elif shape == "rank-deficient":
+        cut = int(rng.integers(0, min(rows, cols) + 1))
+        M = M[:, :cut] @ rng.standard_normal((cut, cols))
+    elif shape == "ill-scaled rows":
+        M *= 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunking:
+            mp.setattr(constants, *chunking)
+        assert hoffman_theta_exact(M) == theta_full_generic(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5), m=st.integers(0, 3),
+       l=st.integers(0, 4), duplicate=st.booleans())
+def test_pruned_theta_of_general_systems_equals_every_subset(seed, n, m, l, duplicate):
+    # rank-deficient A (a duplicated row) takes the generic path, as does any G
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    if duplicate and m >= 2:
+        A[1] = A[0]
+    G = rng.standard_normal((l, n)) if l else None
+    assert hoffman_constant(A, G)[0] == theta_full(A, G)
+
+
+def _ratio(sv, tol):
+    return sv[0] ** 2 / sv[-1] ** 4 if sv[-1] > tol else 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 8), cols=st.integers(1, 5))
+def test_generic_bound_holds_on_every_subset(seed, rows, cols):
+    M = np.random.default_rng(seed).standard_normal((rows, cols))
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    r, tol = constants._rank_and_tol(M, s)
+    subsets, bounds = constants._generic_bounds(M @ Vt[:r].T, s[0], tol)
+    assert len(subsets) == comb(rows, r)
+    for rows_S, bound in zip(subsets, bounds):
+        assert _ratio(np.linalg.svd(M[rows_S.astype(int)], compute_uv=False), tol) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 5), data=st.data())
+def test_box_bound_holds_on_every_subset(seed, n, data):
+    # each bound against the SVD of the uncompressed rows of M: the top rows
+    # R and J, and every bound row except e_j for j in J
+    m = data.draw(st.integers(0, n))
+    A, G = _box_case(n, m, "plain", seed)
+    M = build_hoffman_matrix(A, G)
+    s = np.linalg.svd(M, compute_uv=False)
+    tol = constants._rank_and_tol(M, s)[1]
+    tops, rest, bounds = constants._box_bounds(A.T, s[0], tol)
+    free = n - m
+    assert len(bounds) == comb(n, m) * 2 ** free
+    for i, (R, outside) in enumerate(zip(tops, rest)):
+        for bits in range(2 ** free):
+            J = [int(j) for t, j in enumerate(outside) if bits >> t & 1]
+            if m + len(J) == 0:
+                continue   # all bound rows, ratio 1: an empty stack, counted as 0
+            rows_S = sorted([*R, *J]) + [n + j for j in range(2 * n) if j not in J]
+            sv = np.linalg.svd(M[rows_S], compute_uv=False)
+            assert _ratio(sv, tol) <= bounds[(i << free) + bits]
+
+
+def test_box_bound_rules_out_all_but_a_few_subsets(monkeypatch):
+    # criteria 1-2's first instance: n = 10, m = 3, C(10, 3) 2^7 = 15,360 subsets
+    inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=1000)
+    G, _ = inst.polyhedron.as_halfspaces()
+    stacks = []
+    svd = constants._box_reduced_singular_values
+
+    def counting(A_cols, S_top, J_mask, m):
+        stacks.append(len(S_top))
+        return svd(A_cols, S_top, J_mask, m)
+
+    monkeypatch.setattr(constants, "_box_reduced_singular_values", counting)
+    theta = hoffman_constant(inst.eq_matrix, G)[0]
+    assert 0 < sum(stacks) < 0.01 * 15_360
+    monkeypatch.undo()
+    assert theta == theta_full(inst.eq_matrix, G)
+
+
+@pytest.mark.parametrize("box", [True, False])
+def test_one_svd_of_M_per_theta(monkeypatch, box):
+    A, G = _box_hoffman_system(6, 2, seed=4)
+    if not box:
+        G = G[1:]
+    M = build_hoffman_matrix(A, G)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    hoffman_constant(A, G)
+    assert shapes.count(M.shape) == 1   # the other calls are batched subset SVDs
+    assert all(len(shape) == 3 for shape in shapes if shape != M.shape)
 
 
 # ------------------------------------------------------------ step planning
