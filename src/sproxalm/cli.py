@@ -68,10 +68,9 @@ def cmd_constants(args) -> int:
 def cmd_verify_eb(args) -> int:
     inst = _load(load_instance, "problem", args.problem)
     params, report = plan_stepsizes(inst, args.mode, exact_limit=args.exact_limit)
-    if report.sigma5_bar is None:   # a practical plan above exact_limit has no theta_bar
-        G, _h = inst.polyhedron.as_halfspaces()
-        raise ValueError(f"verify-eb needs an exact sigma5_bar, and M = [[A', G'], [0, I]] has "
-                         f"{inst.n + G.shape[0]} rows, above --exact-limit {args.exact_limit}")
+    if report.sigma5_bar is None:   # a practical plan above exact_limit: the planner says why
+        why = next(w for w in report.warnings if w.startswith("theta_bar not computed"))
+        raise ValueError(f"verify-eb needs an exact sigma5_bar; {why}")
     out = verify_dual_error_bound(inst, params, n_samples=args.samples,
                                   rng_seed=args.seed, sigma5_bar=report.sigma5_bar)
     _emit(out.to_dict())
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, RuntimeError, FloatingPointError, OverflowError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -22,7 +22,7 @@ from .constants import SolverParams, sigma5_from_theta
 from .exceptions import ConvergenceError, StepMismatchError
 from .problem import ProblemInstance, QuadraticObjective
 from .projection import StronglyConvexQP, nnls
-from .solvers import (IterateState, K_value, _norm, _smoothed_step, inner_minimize_K, prox_qp,
+from .solvers import (IterateState, K_value, _norm, _smoothed_step, inner_minimize_K,
                       solve_constrained_strongly_convex)
 
 
@@ -95,8 +95,7 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
 
     d(y,z) is evaluated through the inner projected-gradient solve to
     tolerance tol, warm-started from ``_warm["x_inner"]``; P(z) is the
-    exact constrained proximal solve, reusing the factorisation
-    ``_warm["prox_qp"]`` when the caller supplies one.
+    exact constrained proximal solve.
     """
     x, y, z = state.x, state.y, state.z
     warm = _warm if _warm is not None else {}
@@ -104,21 +103,20 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
     xi = inner_minimize_K(inst, y, z, params, tol=tol, x0=warm.get("x_inner"))
     warm["x_inner"] = xi
     d = K_value(inst, xi, z, y, params)
-    prox = solve_constrained_strongly_convex(inst, z, params, tol=tol, qp=warm.get("prox_qp"))
+    prox = solve_constrained_strongly_convex(inst, z, params, tol=tol)
     phi = Kv - 2.0 * d + 2.0 * prox.value
     return phi, (Kv, d, prox.value)
 
 
 class MonitorContext:
     """Per-run cache for the full monitor: warm starts for the inner
-    solves, the factorisation of the proximal subproblem, the potential
-    of the last checked state t+1, and the constants of the descent
-    inequality."""
+    solves, the potential of the last checked state t+1, and the
+    constants of the descent inequality."""
 
     def __init__(self, inst: ProblemInstance, params: SolverParams):
         self.inst = inst
         self.params = params
-        self._warm: dict = {"prox_qp": prox_qp(inst, params.p)}
+        self._warm: dict = {}
         self._last = None   # (state, phi) of the last check's state t+1
         assert_lb = inst.lower_bound is not None and inst.lower_bound_kind in (
             "exact", "certified")
@@ -260,7 +258,7 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
     y and z are scaled Gaussian draws (z around a feasible anchor); the
     ratio is defined as 0 when the residual is below 1e-12 and the
     distance below 1e-9 (consistency of the zero-residual case).
-    xbar*(z) is solved exactly, with one factorisation for all samples.  A
+    xbar*(z) is solved exactly, from the instance's factorisation.  A
     sample whose inner solve hits its iteration cap, or whose xbar*(z)
     misses Ax = b by more than 1e-10 (1 + ||b||), is skipped; more than
     10% skipped samples raises RuntimeError.
@@ -269,7 +267,6 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
         raise ValueError("n_samples must be at least 1")
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
-    qp = prox_qp(inst, params.p)
     rng = np.random.default_rng(rng_seed)
     anchor = inst.meta.get("x_feas")
     anchor = np.zeros(inst.n) if anchor is None else np.asarray(anchor, dtype=float)
@@ -286,7 +283,7 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
         z = anchor + scale_z * rng.standard_normal(inst.n)
         try:
             xi = inner_minimize_K(inst, y, z, params)
-            prox = solve_constrained_strongly_convex(inst, z, params, qp=qp)
+            prox = solve_constrained_strongly_convex(inst, z, params)
         except ConvergenceError as exc:
             skipped += 1
             logger.warning("error-bound sample skipped: %s", exc)

@@ -140,7 +140,8 @@ class ProblemInstance:
     ``lower_bound`` is a lower bound of f over the feasible set; its
     ``lower_bound_kind`` is one of "exact", "certified", or "estimate".
     Only exact/certified bounds back monitor assertions.  Instances are
-    treated as immutable after construction.
+    treated as immutable after construction, so each caches the
+    factorisations of its proximal subproblems (``prox_qp``).
     """
 
     objective: QuadraticObjective
@@ -151,6 +152,7 @@ class ProblemInstance:
     lower_bound: float | None = None
     lower_bound_kind: str | None = None
     meta: dict = field(default_factory=dict)
+    _prox_qps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.eq_matrix = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
@@ -170,6 +172,19 @@ class ProblemInstance:
 
     def grad_f(self, x) -> np.ndarray:
         return self.objective.grad(x)
+
+    def prox_qp(self, p: float):
+        """The factorised QP of the proximal subproblem
+        min f(x) + (p/2)||x - z||^2 over {Ax = b, x in P}, built once per
+        weight p and shared by the solves for every anchor z."""
+        qp = self._prox_qps.get(p)
+        if qp is None:
+            from .projection import StronglyConvexQP
+
+            G, h = self.polyhedron.as_halfspaces()
+            qp = self._prox_qps[p] = StronglyConvexQP(
+                self.objective.Q + p * np.eye(self.n), self.eq_matrix, self.eq_rhs, G, h)
+        return qp
 
     @cached_property
     def sigma_max_A(self) -> float:

@@ -11,7 +11,6 @@ from a factorisation that the polyhedron builds once.  Both are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +18,16 @@ from .exceptions import ConvergenceError, InfeasibleError
 from .problem import Box, Polyhedron
 
 
-@dataclass
-class ProjectionResult:
-    point: np.ndarray
-    dual_multipliers: np.ndarray | None
-    residual: float   # largest violation of Gx <= h at point; 0 for boxes
-
-
-def project(P: Polyhedron, x: np.ndarray) -> ProjectionResult:
-    """Exact projection of x onto P.
-
-    Halfspace systems also return the multipliers mu >= 0 of their rows,
-    with x - point = G'mu; an empty system raises InfeasibleError.
-    """
+def project(P: Polyhedron, x: np.ndarray) -> np.ndarray:
+    """Exact projection of x onto P; an empty halfspace system raises
+    InfeasibleError.  The multipliers of a halfspace projection are those
+    of ``P.nearest_point_qp.solve(-x)``."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("projection input has non-finite coordinates")
     if isinstance(P, Box):
-        return ProjectionResult(point=P.clip(x), dual_multipliers=None, residual=0.0)
-    point, _, mu = P.nearest_point_qp.solve(-x)
-    return ProjectionResult(point=point, dual_multipliers=mu,
-                            residual=float(np.max(P.G @ point - P.h, initial=0.0)))
+        return P.clip(x)
+    return P.nearest_point_qp.solve(-x)[0]
 
 
 def nnls(M, e, passive=None):

@@ -27,7 +27,7 @@ import numpy as np
 from .constants import SolverParams
 from .exceptions import ConvergenceError, DivergenceError
 from .problem import Box, ProblemInstance
-from .projection import StronglyConvexQP, project
+from .projection import project
 
 _GUARD = 1e12
 # the counters of the full monitor, in SproxResult.monitor and run summaries
@@ -74,9 +74,9 @@ class Trace:
 
     COLUMNS = ("t", "f", "eq_res", "cert_norm", "dx", "dz", "phi", "phi_ok")
 
-    def __init__(self, capacity: int = 1024):
+    def __init__(self):
         self._n = 0
-        self._data = np.empty((max(capacity, 16), 8))
+        self._data = np.empty((1024, 8))   # doubled by _grow as rows arrive
 
     def __len__(self) -> int:
         return self._n
@@ -118,7 +118,7 @@ class Trace:
     @classmethod
     def from_arrays(cls, t, eq_res, cert_norm) -> "Trace":
         """A trace of the given t, eq_res and cert_norm columns; f, dx and dz are 0."""
-        tr = cls(capacity=len(t))
+        tr = cls()
         for i in range(len(t)):
             tr.append(t[i], 0.0, eq_res[i], cert_norm[i], 0.0, 0.0)
         return tr
@@ -139,7 +139,7 @@ def _proj(P, x):
     through ``project``, and one least-distance solve for halfspaces."""
     if isinstance(P, Box):
         return P.clip(x)
-    return project(P, x).point
+    return project(P, x)
 
 
 def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: float,
@@ -210,32 +210,20 @@ class ProxSolution:
         return iter((self.x, self.value))
 
 
-def prox_qp(inst: ProblemInstance, p: float) -> StronglyConvexQP:
-    """The factorised QP of the constrained proximal subproblem with weight
-    p, shared by the solves for every anchor z."""
-    G, h = inst.polyhedron.as_halfspaces()
-    return StronglyConvexQP(inst.objective.Q + p * np.eye(inst.n), inst.eq_matrix,
-                            inst.eq_rhs, G, h)
-
-
 def solve_constrained_strongly_convex(inst: ProblemInstance, z, params: SolverParams,
-                                      tol: float = 1e-10,
-                                      qp: StronglyConvexQP | None = None) -> ProxSolution:
+                                      tol: float = 1e-10) -> ProxSolution:
     """Exact solution of the proximal subproblem min f(x) + (p/2)||x-z||^2
     over {Ax = b, x in P}.
 
-    f is quadratic, so this is one solve of ``qp``, the factorisation
-    ``prox_qp(inst, params.p)``, which is built here when omitted.  A
-    solution with ||Ax - b|| > tol (1 + ||b||) raises ConvergenceError
-    carrying it as ``best``.
+    f is quadratic, so this is one solve of the instance's factorisation
+    ``inst.prox_qp(params.p)``.  A solution with ||Ax - b|| > tol (1 + ||b||)
+    raises ConvergenceError carrying it as ``best``.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("requires p > L_f")
     z = np.asarray(z, dtype=float)
     p = params.p
-    if qp is None:
-        qp = prox_qp(inst, p)
-    x, y, _mu = qp.solve(inst.objective.q - p * z)
+    x, y, _mu = inst.prox_qp(p).solve(inst.objective.q - p * z)
     feas = _norm(inst.eq_matrix @ x - inst.eq_rhs)
     sol = ProxSolution(x=x, value=inst.f(x) + 0.5 * p * float(np.dot(x - z, x - z)),
                        y=y, eq_residual=feas, outer_iters=1)
@@ -280,7 +268,7 @@ def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
 
     y = np.zeros(inst.m)
     x = _proj(inst.polyhedron, np.zeros(inst.n))
-    trace = Trace(capacity=params.max_iters + 1)
+    trace = Trace()
     b_scale = 1.0 + float(np.linalg.norm(b))
     converged, state_t = False, 0
     for t in range(params.max_iters):
@@ -397,7 +385,7 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> Sprox
 
         mon_ctx = MonitorContext(inst, params)
 
-    trace = Trace(capacity=min(params.max_iters, 1 << 20) + 1)
+    trace = Trace()
     step = _smoothed_step(inst, params)
     f = inst.objective.value
     alpha, max_iters, target_eps = params.alpha, params.max_iters, params.target_eps

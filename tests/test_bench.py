@@ -151,6 +151,16 @@ def test_cli_alm_divergence_exits_2(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_cli_alm_with_a_huge_iteration_budget_converges(tmp_path, capsys):
+    # the trace grows with the run, so the budget sizes no allocation
+    problem = tmp_path / "p.json"
+    save_instance(fixed_instance_1d(), problem)
+    assert main(["solve", "--problem", str(problem), "--algo", "alm",
+                 "--max-iters", "10000000000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["iters"] < 100 and out["best_eps"] <= 1e-8
+
+
 def test_cli_invalid_problem_exits_3_without_trace(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -291,6 +301,7 @@ def test_cli_main_maps_every_failure_to_its_exit_code(tmp_path, capsys, monkeypa
 
     for exc, rc, prefix in ((RuntimeError, 2, "solver error:"),
                             (FloatingPointError, 2, "solver error:"),
+                            (MemoryError, 2, "solver error:"),
                             (OSError, 3, "I/O error:"), (TypeError, None, None)):
         def fail(*args, exc=exc, **kwargs):
             raise exc("injected")

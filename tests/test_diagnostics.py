@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from sproxalm.oracles import (enumerate_kkt_points, project_polyhedron_exact,
                               solve_qp_active_set)
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d)
-from sproxalm.projection import project
+from sproxalm.projection import StronglyConvexQP, project
 from sproxalm.solvers import IterateState, sprox_alm_run, sprox_alm_step
 from tests.conftest import make_box_instance, make_general_instance
 
@@ -79,7 +81,7 @@ def test_run_trace_certificates_equal_step_replays():
     params.max_iters = 30
     x0 = inst.meta["x_feas"] + 2.0   # 18 of the 30 step projections have active rows
     res = sprox_alm_run(inst, params, x0=x0)
-    x_start = project(inst.polyhedron, x0).point
+    x_start = project(inst.polyhedron, x0)
     st = IterateState(x_start, np.zeros(inst.m), x_start.copy())
     certs = []
     for _ in range(len(res.trace)):
@@ -361,6 +363,41 @@ def test_error_bound_random_instance_within_sigma5():
                                   sigma5_bar=rep.sigma5_bar)
     assert out.passed and out.violations == 0
     assert out.max_ratio <= rep.sigma5_bar
+
+
+def test_instance_owns_one_proximal_factorisation(monkeypatch):
+    # criterion 3's (6, 2, 5) halfspace shape
+    inst = make_general_instance(6, 2, 5, neg_eigs=2, seed=63)
+    params, rep = plan_stepsizes(inst, "theoretical", exact_limit=20)
+    built = []
+    init = StronglyConvexQP.__init__
+
+    def counted(self, H, *args):
+        built.append(np.array(H))
+        init(self, H, *args)
+
+    monkeypatch.setattr(StronglyConvexQP, "__init__", counted)
+    run = dataclasses.replace(params, max_iters=20, target_eps=0.0, monitor_level="full")
+    assert sprox_alm_run(inst, run).monitor["checks"] == 20
+    first = verify_dual_error_bound(inst, params, n_samples=5, rng_seed=2,
+                                    sigma5_bar=rep.sigma5_bar)
+    # the nearest-point QP of the polyhedron and one proximal QP, nothing else
+    n = inst.n
+    assert len(built) == 2
+    assert sum(np.array_equal(H, np.eye(n)) for H in built) == 1
+    assert sum(np.array_equal(H, inst.objective.Q + params.p * np.eye(n)) for H in built) == 1
+    qp = inst.prox_qp(params.p)
+    assert qp._passive is not None   # the next solve hot-starts
+    second = verify_dual_error_bound(inst, params, n_samples=5, rng_seed=2,
+                                     sigma5_bar=rep.sigma5_bar)
+    assert len(built) == 2 and inst.prox_qp(params.p) is qp
+    assert second.to_dict() == first.to_dict()
+    assert np.array_equal(second.worst.y, first.worst.y)
+    assert np.array_equal(second.worst.z, first.worst.z)
+    assert second.worst.ratio == first.worst.ratio
+    # a replaced instance is a new instance, with a cache of its own
+    other = dataclasses.replace(inst, lower_bound=-1e3, lower_bound_kind="estimate")
+    assert other.prox_qp(params.p) is not qp and len(built) == 3
 
 
 # ----------------------------------------------------------- hoffman check

@@ -31,8 +31,6 @@ def test_active_set_solver_rejects_singular_kkt_solutions():
     # Both bounds of one box coordinate make a singular KKT matrix that LU can
     # factor through roundoff; the huge multipliers it returns pass the sign and
     # bound checks while x misses Ax = b.  The true solution is the one kept.
-    from sproxalm.solvers import prox_qp
-
     inst = make_box_instance(3, 1, 1, 1464)
     p = 3.0 * inst.lipschitz_grad
     z = np.array([0.14767840489927472, -0.07747568608098067, -1.0690917826803432])
@@ -41,7 +39,7 @@ def test_active_set_solver_rejects_singular_kkt_solutions():
     sol = solve_qp_active_set(inst.objective.Q + p * np.eye(3), c, inst.eq_matrix,
                               inst.eq_rhs, G, h)
     assert np.linalg.norm(inst.eq_matrix @ sol.x - inst.eq_rhs) < 1e-12
-    assert np.linalg.norm(sol.x - prox_qp(inst, p).solve(c)[0]) < 1e-12
+    assert np.linalg.norm(sol.x - inst.prox_qp(p).solve(c)[0]) < 1e-12
 
 
 def test_active_set_solver_equality_plus_box_rows():

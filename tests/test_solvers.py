@@ -271,6 +271,29 @@ def test_trace_csv_roundtrip(tmp_path):
     assert first[6] == "" and first[7] == ""   # phi columns empty without monitors
 
 
+def test_trace_grows_past_its_first_block(tmp_path):
+    # 2,500 rows take the trace through two doublings of its storage
+    n = 2500
+    t = np.arange(n)
+    eq = 1.0 / (1.0 + t) + 0.5 * (t % 7 == 3)   # decreasing, with bumps
+    trace = Trace()
+    for i in range(n):
+        trace.append(i, float(-i), eq[i], 0.5 * eq[i], float(i) + 0.25, 0.0)
+    assert len(trace) == n
+    assert np.array_equal(trace.column("t"), t)
+    assert np.array_equal(trace.column("eq_res"), eq)
+    assert np.array_equal(trace.column("dx"), t + 0.25)
+    last = trace.row(-1)
+    assert (last.t, last.f_value, last.eq_residual, last.dx) == (n - 1, 1.0 - n, eq[-1],
+                                                                 n - 0.75)
+    assert np.array_equal(trace.best_so_far_eps(), np.minimum.accumulate(eq))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[-1].split(",")[:2] == [str(n - 1), repr(1.0 - n)]
+
+
 def test_envelope_constant_on_small_run():
     # combined residual envelope: min over s <= t of the per-step quantities
     # is bounded by C/t with C = (phi0 - flow) * max(4c, 2/alpha, 3beta/p)
