@@ -90,33 +90,29 @@ def certificate_minnorm(inst: ProblemInstance, x, y) -> StationarityReport:
 
 
 def potential_value(inst: ProblemInstance, state: IterateState, params: SolverParams,
-                    tol: float = 1e-10, _warm: dict | None = None):
+                    tol: float = 1e-10):
     """Potential phi = K(x,z;y) - 2 d(y,z) + 2 P(z) with its three parts.
 
-    d(y,z) is evaluated through the inner projected-gradient solve to
-    tolerance tol, warm-started from ``_warm["x_inner"]``; P(z) is the
-    exact constrained proximal solve.
+    d(y,z) = K(x(y,z), z; y) and P(z) come from exact solves of the
+    instance's factorisations: x(y,z) by ``inner_minimize_K``, checked to
+    tolerance tol, and P(z) by the constrained proximal solve.
     """
     x, y, z = state.x, state.y, state.z
-    warm = _warm if _warm is not None else {}
     Kv = K_value(inst, x, z, y, params)
-    xi = inner_minimize_K(inst, y, z, params, tol=tol, x0=warm.get("x_inner"))
-    warm["x_inner"] = xi
-    d = K_value(inst, xi, z, y, params)
+    d = K_value(inst, inner_minimize_K(inst, y, z, params, tol=tol), z, y, params)
     prox = solve_constrained_strongly_convex(inst, z, params, tol=tol)
     phi = Kv - 2.0 * d + 2.0 * prox.value
     return phi, (Kv, d, prox.value)
 
 
 class MonitorContext:
-    """Per-run cache for the full monitor: warm starts for the inner
-    solves, the potential of the last checked state t+1, and the
-    constants of the descent inequality."""
+    """Per-run state of the full monitor: the potential of the last
+    checked state t+1, and the constants of the descent inequality.  Every
+    subproblem it solves is exact, so no solve depends on an earlier one."""
 
     def __init__(self, inst: ProblemInstance, params: SolverParams):
         self.inst = inst
         self.params = params
-        self._warm: dict = {}
         self._last = None   # (state, phi) of the last check's state t+1
         assert_lb = inst.lower_bound is not None and inst.lower_bound_kind in (
             "exact", "certified")
@@ -134,11 +130,10 @@ class MonitorContext:
                                     for k in "xyz"):
             phi_t = last[1]
         else:
-            phi_t, _ = potential_value(inst, state_t, params, _warm=self._warm)
-        phi_t1, _ = potential_value(inst, state_t1, params, _warm=self._warm)
+            phi_t, _ = potential_value(inst, state_t, params)
+        phi_t1, _ = potential_value(inst, state_t1, params)
         self._last = (state_t1.copy(), phi_t1)
-        x_step = inner_minimize_K(inst, state_t1.y, state_t.z, params,
-                                  x0=self._warm.get("x_inner"))
+        x_step = inner_minimize_K(inst, state_t1.y, state_t.z, params)
         eq_inner = _norm(inst.eq_matrix @ x_step - inst.eq_rhs)
         if dx_norm is None:
             dx_norm = _norm(state_t1.x - state_t.x)
@@ -258,10 +253,10 @@ def verify_dual_error_bound(inst: ProblemInstance, params: SolverParams,
     y and z are scaled Gaussian draws (z around a feasible anchor); the
     ratio is defined as 0 when the residual is below 1e-12 and the
     distance below 1e-9 (consistency of the zero-residual case).
-    xbar*(z) is solved exactly, from the instance's factorisation.  A
-    sample whose inner solve hits its iteration cap, or whose xbar*(z)
-    misses Ax = b by more than 1e-10 (1 + ||b||), is skipped; more than
-    10% skipped samples raises RuntimeError.
+    x(y,z) and xbar*(z) are exact solves of the instance's factorisations.
+    A sample is skipped when x(y,z) fails the inner fixed-point check (to
+    1e-10) or xbar*(z) misses Ax = b by more than 1e-10 (1 + ||b||); more
+    than 10% skipped samples raises RuntimeError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -6,9 +6,10 @@ class DimensionMismatchError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve hit its iteration cap before reaching tolerance.
+    """A solve missed its tolerance: an iterative one hit its iteration
+    cap, or an exact one failed the check of its result.
 
-    The best iterate found so far is attached as ``best``.
+    The best point found is attached as ``best``.
     """
 
     def __init__(self, message, best=None, residual=None):

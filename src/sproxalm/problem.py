@@ -141,7 +141,7 @@ class ProblemInstance:
     ``lower_bound_kind`` is one of "exact", "certified", or "estimate".
     Only exact/certified bounds back monitor assertions.  Instances are
     treated as immutable after construction, so each caches the
-    factorisations of its proximal subproblems (``prox_qp``).
+    factorisations of its subproblems (``prox_qp``, ``inner_qp``).
     """
 
     objective: QuadraticObjective
@@ -152,7 +152,7 @@ class ProblemInstance:
     lower_bound: float | None = None
     lower_bound_kind: str | None = None
     meta: dict = field(default_factory=dict)
-    _prox_qps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _qps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.eq_matrix = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
@@ -173,18 +173,32 @@ class ProblemInstance:
     def grad_f(self, x) -> np.ndarray:
         return self.objective.grad(x)
 
+    def _qp(self, key, hessian, A, b):
+        """The factorised QP min 0.5 x'Hx + c'x over {Ax = b, x in P}, built
+        with H = hessian() on the first call for key and cached."""
+        qp = self._qps.get(key)
+        if qp is None:
+            from .projection import StronglyConvexQP
+
+            qp = self._qps[key] = StronglyConvexQP(hessian(), A, b,
+                                                   *self.polyhedron.as_halfspaces())
+        return qp
+
     def prox_qp(self, p: float):
         """The factorised QP of the proximal subproblem
         min f(x) + (p/2)||x - z||^2 over {Ax = b, x in P}, built once per
         weight p and shared by the solves for every anchor z."""
-        qp = self._prox_qps.get(p)
-        if qp is None:
-            from .projection import StronglyConvexQP
+        return self._qp(("prox", p), lambda: self.objective.Q + p * np.eye(self.n),
+                        self.eq_matrix, self.eq_rhs)
 
-            G, h = self.polyhedron.as_halfspaces()
-            qp = self._prox_qps[p] = StronglyConvexQP(
-                self.objective.Q + p * np.eye(self.n), self.eq_matrix, self.eq_rhs, G, h)
-        return qp
+    def inner_qp(self, rho: float, p: float):
+        """The factorised QP of the inner subproblem min_{x in P} K(x, z; y):
+        Hessian Q + rho A'A + pI and no equality rows, built once per
+        (rho, p) and shared by the solves for every y and z."""
+        A = self.eq_matrix
+        return self._qp(("inner", rho, p),
+                        lambda: self.objective.Q + rho * (A.T @ A) + p * np.eye(self.n),
+                        [], [])
 
     @cached_property
     def sigma_max_A(self) -> float:

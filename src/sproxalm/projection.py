@@ -94,7 +94,7 @@ class StronglyConvexQP:
     min ||u|| s.t. E u <= f, E = GT', which is one nonnegative least-squares
     problem, solved by ``nnls``.  Each solve hot-starts from the passive set
     of the last one, which changes its work but not its result.  Empty
-    feasible sets raise InfeasibleError.
+    feasible sets raise InfeasibleError.  H is kept as the attribute ``H``.
     """
 
     def __init__(self, H, A, b, G, h):
@@ -109,7 +109,7 @@ class StronglyConvexQP:
         self._T = np.linalg.solve(np.linalg.cholesky(N.T @ H @ N), N.T)
         self._Et = self._T @ G.T   # E'
         self._M = np.vstack([-self._Et, np.zeros(G.shape[0])])   # last row: -f'/s per solve
-        self._H, self._A, self._G = H, A, G
+        self.H, self._A, self._G = H, A, G
         self._h = np.asarray(h, dtype=float).reshape(-1)
         self._shifted = self._shift(b)
         self._passive = None   # passive set of the last NNLS: the next solve's hot start
@@ -120,7 +120,7 @@ class StronglyConvexQP:
         x0 = self._A_pinv @ b
         if np.linalg.norm(self._A @ x0 - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
             raise InfeasibleError("the equality system Ax = b is inconsistent")
-        return x0, self._T @ (self._H @ x0), self._h - self._G @ x0
+        return x0, self._T @ (self.H @ x0), self._h - self._G @ x0
 
     def solve(self, c, b=None):
         """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0, for the
@@ -147,5 +147,7 @@ class StronglyConvexQP:
             mu = (scale / denom) * v
             u = -self._Et @ mu
         x = x0 + self._T.T @ (u - t)
-        y = -self._A_pinv.T @ (self._H @ x + c + self._G.T @ mu)
+        if not len(self._A):   # no equality rows: y is empty
+            return x, np.zeros(0), mu
+        y = -self._A_pinv.T @ (self.H @ x + c + self._G.T @ mu)
         return x, y, mu

@@ -1,7 +1,7 @@
 """Iterative methods: the smoothed proximal augmented Lagrangian loop and
-its one step kernel, the classical augmented Lagrangian baseline, the
-projected-gradient loop of their inner solves, and the exact constrained
-proximal solve.
+its one step kernel, the classical augmented Lagrangian baseline and its
+projected-gradient inner loop, and the exact solves of the inner
+minimisation of K and of the constrained proximal subproblem.
 
 Notation used throughout: the augmented Lagrangian is
 
@@ -124,10 +124,6 @@ class Trace:
         return tr
 
 
-def _lipschitz_K(inst: ProblemInstance, params: SolverParams) -> float:
-    return inst.lipschitz_grad + params.rho * inst.sigma_max_A ** 2 + params.p
-
-
 def _norm(v) -> float:
     """Euclidean norm of a real 1-D vector: what ``np.linalg.norm`` computes
     for one, bit for bit, without its dispatch cost in the main loop."""
@@ -142,15 +138,16 @@ def _proj(P, x):
     return project(P, x)
 
 
-def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: float,
+def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, L: float,
                         tol: float, max_iters: int):
     """Projected gradient with step 1/L on
 
-        f(x) + lin'x + (rho/2)||Ax - b||^2 + (p/2)||x||^2   over P,
+        f(x) + lin'x + (rho/2)||Ax - b||^2   over P,
 
-    from x in P.  Returns (x, residual, converged): on convergence x is the
-    point at which the scaled fixed-point residual L ||x - proj(x - grad/L)||
-    fell to tol, otherwise the last iterate after max_iters steps.  A
+    from x in P: the inner loop of ``alm_run``, its heuristic (not strongly
+    convex) case included.  Returns (x, residual, converged): on convergence
+    x is the point at which the scaled fixed-point residual
+    L ||x - proj(x - grad/L)|| fell to tol, else the last of max_iters.  A
     gradient step to a point of norm beyond 1e12, or to a non-finite one,
     raises DivergenceError carrying the last iterate in P as ``state``:
     the objective is then unbounded below on P.
@@ -160,8 +157,6 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: 
     res = np.inf
     for _ in range(max_iters):
         g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b))
-        if p:
-            g += p * x
         x_new = x - step * g
         if not float(x_new @ x_new) <= _GUARD ** 2:
             raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
@@ -175,24 +170,26 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, p: float, L: 
 
 
 def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
-                     tol: float = 1e-10, x0=None, max_iters: int = 1_000_000):
-    """argmin_{x in P} K(x, z; y) by projected gradient with step 1/L.
-
-    Terminates when the scaled fixed-point residual
-    L * ||x - proj(x - grad K(x)/L)|| drops below tol; the returned point
-    is the one at which that residual was measured.
+                     tol: float = 1e-10):
+    """x(y, z) = argmin_{x in P} K(x, z; y): one exact solve of the strongly
+    convex QP ``inst.inner_qp(rho, p)``, H = Q + rho A'A + pI, with the linear
+    term c = q + A'(y - rho b) - p z.  A scaled fixed-point residual
+    L ||x - proj(x - (Hx + c)/L)|| above tol at the returned point, with
+    L = L_f + rho ||A||^2 + p, raises ConvergenceError carrying it as ``best``.
     """
     if params.p <= inst.lipschitz_grad:
         raise ValueError("inner solve requires p > L_f (strong convexity)")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    lin = inst.eq_matrix.T @ y - params.p * z  # the part of grad K linear in y and z
-    x = _proj(inst.polyhedron, z if x0 is None else np.asarray(x0, dtype=float))
-    x, res, converged = _projected_gradient(inst, x, lin, params.rho, params.p,
-                                            _lipschitz_K(inst, params), tol, max_iters)
-    if not converged:
-        raise ConvergenceError("inner projected gradient hit the iteration cap", best=x,
-                               residual=res)
+    rho, p = params.rho, params.p
+    qp = inst.inner_qp(rho, p)
+    c = inst.objective.q + inst.eq_matrix.T @ (y - rho * inst.eq_rhs) - p * z
+    x = qp.solve(c)[0]
+    L = inst.lipschitz_grad + rho * inst.sigma_max_A ** 2 + p
+    res = L * _norm(x - _proj(inst.polyhedron, x - (qp.H @ x + c) / L))
+    if not res <= tol:
+        raise ConvergenceError("inner solve misses its fixed-point residual tolerance",
+                               best=x, residual=res)
     return x
 
 
@@ -273,7 +270,7 @@ def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
     converged, state_t = False, 0
     for t in range(params.max_iters):
         x_prev = x
-        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, 0.0, L_in, tol, 200_000)
+        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, L_in, tol, 200_000)
         r = A @ x - b
         feas = float(np.linalg.norm(r))
         y = y + rho * r

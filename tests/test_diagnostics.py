@@ -326,7 +326,7 @@ def test_error_bound_golden_instance_ratio_one():
 
 @pytest.mark.parametrize("error, raised", [
     (TypeError("bug in the inner solve"), TypeError),           # a bug propagates
-    (ConvergenceError("iteration cap"), RuntimeError),          # every sample skipped
+    (ConvergenceError("inner check failed"), RuntimeError),     # every sample skipped
 ])
 def test_error_bound_skips_only_solver_failures(monkeypatch, error, raised):
     def failing_inner_solve(*args, **kwargs):
@@ -381,23 +381,27 @@ def test_instance_owns_one_proximal_factorisation(monkeypatch):
     assert sprox_alm_run(inst, run).monitor["checks"] == 20
     first = verify_dual_error_bound(inst, params, n_samples=5, rng_seed=2,
                                     sigma5_bar=rep.sigma5_bar)
-    # the nearest-point QP of the polyhedron and one proximal QP, nothing else
-    n = inst.n
-    assert len(built) == 2
+    # the nearest-point QP of the polyhedron, one proximal QP and one K QP, nothing else
+    n, A = inst.n, inst.eq_matrix
+    assert len(built) == 3
     assert sum(np.array_equal(H, np.eye(n)) for H in built) == 1
     assert sum(np.array_equal(H, inst.objective.Q + params.p * np.eye(n)) for H in built) == 1
-    qp = inst.prox_qp(params.p)
+    H_K = inst.objective.Q + params.rho * (A.T @ A) + params.p * np.eye(n)
+    assert sum(np.array_equal(H, H_K) for H in built) == 1
+    qp, inner = inst.prox_qp(params.p), inst.inner_qp(params.rho, params.p)
     assert qp._passive is not None   # the next solve hot-starts
     second = verify_dual_error_bound(inst, params, n_samples=5, rng_seed=2,
                                      sigma5_bar=rep.sigma5_bar)
-    assert len(built) == 2 and inst.prox_qp(params.p) is qp
+    assert len(built) == 3 and inst.prox_qp(params.p) is qp
+    assert inst.inner_qp(params.rho, params.p) is inner
     assert second.to_dict() == first.to_dict()
     assert np.array_equal(second.worst.y, first.worst.y)
     assert np.array_equal(second.worst.z, first.worst.z)
     assert second.worst.ratio == first.worst.ratio
     # a replaced instance is a new instance, with a cache of its own
     other = dataclasses.replace(inst, lower_bound=-1e3, lower_bound_kind="estimate")
-    assert other.prox_qp(params.p) is not qp and len(built) == 3
+    assert other.prox_qp(params.p) is not qp and len(built) == 4
+    assert other.inner_qp(params.rho, params.p) is not inner and len(built) == 5
 
 
 # ----------------------------------------------------------- hoffman check

@@ -324,15 +324,56 @@ def test_envelope_constant_on_small_run():
     assert np.all(worst <= C / t + 1e-10)
 
 
-def test_inner_minimize_iteration_cap_carries_best():
-    from sproxalm.exceptions import ConvergenceError
-
-    inst = make_box_instance(4, 2, 1, seed=17)  # anisotropic: PG needs many steps
+def test_inner_minimize_failed_check_carries_best(monkeypatch):
+    inst = make_box_instance(4, 2, 1, seed=17)
     params, _ = plan_stepsizes(inst, "practical")
+    qp = inst.inner_qp(params.rho, params.p)
+    solve = qp.solve
+
+    def off_minimiser(c):   # a point of P between the minimiser and x_feas
+        x, y, mu = solve(c)
+        return 0.5 * (x + inst.meta["x_feas"]), y, mu
+
+    monkeypatch.setattr(qp, "solve", off_minimiser)
     with pytest.raises(ConvergenceError) as err:
-        inner_minimize_K(inst, np.ones(2), np.full(4, 0.3), params,
-                         tol=1e-13, max_iters=3)
+        inner_minimize_K(inst, np.ones(2), np.full(4, 0.3), params)
     assert err.value.best is not None and err.value.best.shape == (4,)
+    assert err.value.residual > 1e-10
+
+
+def _inner_case(seed):
+    """A halfspace instance (n <= 8, l <= 5) or a unit box (n <= 6), K's
+    weights rho and p > L_f, and a pair (y, z)."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        n = int(rng.integers(2, 7))
+        inst = make_box_instance(n, int(rng.integers(1, n)), int(rng.integers(0, n)), seed)
+    else:
+        n = int(rng.integers(2, 9))
+        inst = make_general_instance(n, int(rng.integers(1, n)), int(rng.integers(1, 6)),
+                                     neg_eigs=int(rng.integers(0, n)), seed=seed)
+    L_f = inst.lipschitz_grad
+    params = SolverParams(rho=10.0 ** rng.uniform(-1.0, 1.0),
+                          p=L_f * (1.0 + 10.0 ** rng.uniform(-1.0, 1.0)),
+                          c=0.1 / L_f, alpha=0.1, beta=0.01)
+    y = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(inst.m)
+    z = inst.meta["x_feas"] + 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(n)
+    return inst, params, y, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 10_000).map(_inner_case))
+def test_inner_minimize_matches_active_set_oracle(case):
+    from sproxalm.oracles import solve_qp_active_set
+
+    inst, params, y, z = case
+    A, b, rho, p = inst.eq_matrix, inst.eq_rhs, params.rho, params.p
+    G, h = inst.polyhedron.as_halfspaces()
+    H = inst.objective.Q + rho * (A.T @ A) + p * np.eye(inst.n)
+    c = inst.objective.q + A.T @ (y - rho * b) - p * z
+    ref = solve_qp_active_set(H, c, None, None, G, h).x
+    x = inner_minimize_K(inst, y, z, params)   # the default tol: no example may raise
+    assert np.linalg.norm(x - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
 
 # ------------------------------------------------------------- main loop
