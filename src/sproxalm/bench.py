@@ -67,7 +67,7 @@ def fit_rate(trace: Trace) -> RateFit:
     """
     if len(trace) < 200:
         raise ValueError("rate fitting needs at least 200 trace rows")
-    eps = trace.best_so_far_eps()
+    eps = np.minimum.accumulate(trace.eps())
     t = trace.column("t") + 1.0  # iteration indices are 0-based
     mask = t >= BURN_IN
     t, eps = t[mask], eps[mask]
@@ -96,20 +96,16 @@ def run_experiment(inst: ProblemInstance, cfg: ExperimentConfig) -> dict:
     params.target_eps = cfg.target_eps
     params.monitor_level = cfg.monitor_level
     if cfg.algorithm == "sprox":
-        res = sprox_alm_run(inst, params)
-        trace = res.trace
-        best_eps = res.best.eps
-        monitors = res.monitor
-        heuristic = False
-        iters = res.state.t
+        out = sprox_alm_run(inst, params)
+        heuristic, monitors = False, out.monitor
     else:
         out = alm_run(inst, params)
-        trace = out.trace
-        best_eps = float(np.min(np.maximum(trace.column("eq_res"), trace.column("cert_norm"))))
-        monitors = dict.fromkeys(MONITOR_COUNTERS)
-        heuristic = out.heuristic
-        iters = out.state.t
-    final_eps = trace.row(-1).eps   # max_iters >= 1, so the trace has a row
+        heuristic, monitors = out.heuristic, dict.fromkeys(MONITOR_COUNTERS)
+    trace = out.trace
+    # trace_every keeps its default of 1 here, so every iteration is a row and
+    # the first smallest row is the solver's best certificate, bit for bit
+    eps = trace.eps()   # max_iters >= 1, so the trace has a row
+    final_eps, best_eps = eps[-1], eps.min()
 
     if cfg.trace_path:
         trace.to_csv(cfg.trace_path)
@@ -121,7 +117,7 @@ def run_experiment(inst: ProblemInstance, cfg: ExperimentConfig) -> dict:
     return {
         "algorithm": cfg.algorithm,
         "mode": cfg.mode,
-        "iters": int(iters),
+        "iters": int(out.state.t),
         "final_eps": float(final_eps),
         "best_eps": float(best_eps),
         "heuristic": bool(heuristic),

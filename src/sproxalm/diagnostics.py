@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-from .constants import SolverParams, sigma5_from_theta
+from .constants import SolverParams, hoffman_constant, sigma5_from_theta
 from .exceptions import ConvergenceError, StepMismatchError
 from .problem import ProblemInstance, QuadraticObjective
 from .projection import StronglyConvexQP, nnls
 from .solvers import (IterateState, K_value, _norm, _smoothed_step, inner_minimize_K,
                       solve_constrained_strongly_convex)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -155,14 +155,10 @@ class MonitorContext:
 
         return {
             "phi": phi_t,
-            "phi_next": phi_t1,
             "decrease": phi_t - phi_t1,
-            "required_decrease": rhs,
-            "slack": slack,
             "descent_ok": bool(descent_ok),
             "lower_bound_ok": lower_bound_ok,
             "step_error_bound_ok": bool(step_ok),
-            "eq_inner": eq_inner,
         }
 
 
@@ -450,8 +446,6 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     A, b = g_inst.eq_matrix, g_inst.eq_rhs
     G, h = g_inst.polyhedron.as_halfspaces()
     y_tilde = np.asarray(y_tilde, dtype=float)
-
-    from .constants import hoffman_constant
 
     theta_bar, _exact = hoffman_constant(A, G)
     sigma5 = sigma5_from_theta(theta_bar, L, gamma)

@@ -304,7 +304,8 @@ def fixed_instance_1d() -> ProblemInstance:
 
 # ---------------------------------------------------------------------------
 # JSON problem schema (quadratic instances only).  Matrices are flat
-# row-major lists; shapes come from the n/m/l fields.
+# row-major lists; shapes come from n and m, and G's rows from its length
+# (the writer's l field is not read).
 # ---------------------------------------------------------------------------
 
 def instance_to_dict(inst: ProblemInstance) -> dict:

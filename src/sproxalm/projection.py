@@ -91,10 +91,11 @@ class StronglyConvexQP:
     and N an orthonormal basis of null(A).  The reduced Hessian N'HN = LL'
     is factored once.  With T = L^{-1}N', the substitution
     u = L'w + T(Hx0 + c) turns each solve into the least-distance problem
-    min ||u|| s.t. E u <= f, E = GT', which is one nonnegative least-squares
-    problem, solved by ``nnls``.  Each solve hot-starts from the passive set
-    of the last one, which changes its work but not its result.  Empty
-    feasible sets raise InfeasibleError.  H is kept as the attribute ``H``.
+    min ||u|| s.t. E u <= f, E = GT' with its rows (and f) scaled to unit
+    norm, which is one nonnegative least-squares problem, solved by
+    ``nnls``.  Each solve hot-starts from the passive set of the last one,
+    which changes its work but not its result.  Empty feasible sets raise
+    InfeasibleError.  H is kept as the attribute ``H``.
     """
 
     def __init__(self, H, A, b, G, h):
@@ -107,7 +108,12 @@ class StronglyConvexQP:
         self._A_pinv = (Vt[:r].T / s[:r]) @ U[:, :r].T
         N = Vt[r:].T
         self._T = np.linalg.solve(np.linalg.cholesky(N.T @ H @ N), N.T)
-        self._Et = self._T @ G.T   # E'
+        Et = self._T @ G.T
+        # the NNLS tolerance scales with the largest row of E, so a large row
+        # would hide the KKT violation of a small one: scale them all to 1
+        self._norms = np.linalg.norm(Et, axis=0)
+        self._norms[self._norms == 0.0] = 1.0
+        self._Et = Et / self._norms   # E' with unit columns
         self._M = np.vstack([-self._Et, np.zeros(G.shape[0])])   # last row: -f'/s per solve
         self.H, self._A, self._G = H, A, G
         self._h = np.asarray(h, dtype=float).reshape(-1)
@@ -115,12 +121,13 @@ class StronglyConvexQP:
         self._passive = None   # passive set of the last NNLS: the next solve's hot start
 
     def _shift(self, b):
-        """(x0, T H x0, h - G x0) for the right-hand side b, x0 = A^+ b."""
+        """(x0, T H x0, (h - G x0) / row norms of E) for the right-hand side
+        b, x0 = A^+ b."""
         b = np.asarray(b, dtype=float).reshape(-1)
         x0 = self._A_pinv @ b
         if np.linalg.norm(self._A @ x0 - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
             raise InfeasibleError("the equality system Ax = b is inconsistent")
-        return x0, self._T @ (self.H @ x0), self._h - self._G @ x0
+        return x0, self._T @ (self.H @ x0), (self._h - self._G @ x0) / self._norms
 
     def solve(self, c, b=None):
         """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0, for the
@@ -146,6 +153,7 @@ class StronglyConvexQP:
                 raise InfeasibleError("the inequality system Gx <= h misses the affine set Ax = b")
             mu = (scale / denom) * v
             u = -self._Et @ mu
+            mu /= self._norms   # the multipliers of the unscaled rows
         x = x0 + self._T.T @ (u - t)
         if not len(self._A):   # no equality rows: y is empty
             return x, np.zeros(0), mu

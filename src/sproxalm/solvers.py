@@ -46,24 +46,10 @@ class IterateState:
         return IterateState(self.x.copy(), self.y.copy(), self.z.copy(), self.t)
 
 
-@dataclass
-class TraceRow:
-    t: int
-    f_value: float
-    eq_residual: float
-    cert_norm: float
-    dx: float
-    dz: float
-    phi: float
-    phi_ok: float
-
-    @property
-    def eps(self) -> float:
-        return max(self.eq_residual, self.cert_norm)
-
-
 class Trace:
-    """Column-major iteration trace with CSV export.
+    """Column-major iteration trace with CSV export, read by column:
+    ``column(name)`` for one of COLUMNS and ``eps()`` for the epsilon of
+    each row, max(eq_res, cert_norm), over the rows written.
 
     Row convention: the row recorded at step index t describes the state
     after the update t -> t+1: f and the equality residual are evaluated
@@ -95,13 +81,9 @@ class Trace:
     def column(self, name: str) -> np.ndarray:
         return self._data[: self._n, self.COLUMNS.index(name)].copy()
 
-    def row(self, i: int) -> TraceRow:
-        t, f, eq, cert, dx, dz, phi, ok = self._data[i if i >= 0 else self._n + i]
-        return TraceRow(int(t), f, eq, cert, dx, dz, phi, ok)
-
-    def best_so_far_eps(self) -> np.ndarray:
-        eps = np.maximum(self.column("eq_res"), self.column("cert_norm"))
-        return np.minimum.accumulate(eps)
+    def eps(self) -> np.ndarray:
+        """max(eq_res, cert_norm) of each row: the epsilon of its pair."""
+        return np.maximum(self.column("eq_res"), self.column("cert_norm"))
 
     def to_csv(self, path) -> None:
         """Comma-separated rows ending in CRLF under a header of COLUMNS:
@@ -114,14 +96,6 @@ class Trace:
                 phi_s = "" if math.isnan(phi) else repr(phi)
                 ok_s = "" if math.isnan(ok) else int(ok)
                 fh.write(f"{int(t)},{f!r},{eq!r},{cert!r},{dx!r},{dz!r},{phi_s},{ok_s}\r\n")
-
-    @classmethod
-    def from_arrays(cls, t, eq_res, cert_norm) -> "Trace":
-        """A trace of the given t, eq_res and cert_norm columns; f, dx and dz are 0."""
-        tr = cls()
-        for i in range(len(t)):
-            tr.append(t[i], 0.0, eq_res[i], cert_norm[i], 0.0, 0.0)
-        return tr
 
 
 def _norm(v) -> float:
@@ -145,12 +119,12 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, L: float,
         f(x) + lin'x + (rho/2)||Ax - b||^2   over P,
 
     from x in P: the inner loop of ``alm_run``, its heuristic (not strongly
-    convex) case included.  Returns (x, residual, converged): on convergence
-    x is the point at which the scaled fixed-point residual
-    L ||x - proj(x - grad/L)|| fell to tol, else the last of max_iters.  A
-    gradient step to a point of norm beyond 1e12, or to a non-finite one,
-    raises DivergenceError carrying the last iterate in P as ``state``:
-    the objective is then unbounded below on P.
+    convex) case included.  Returns (x, residual): the first x at which the
+    scaled fixed-point residual L ||x - proj(x - grad/L)|| falls to tol,
+    with that residual, or else the iterate after max_iters steps with the
+    last residual computed.  A gradient step to a point of norm beyond
+    1e12, or to a non-finite one, raises DivergenceError carrying the last
+    iterate in P as ``state``: the objective is then unbounded below on P.
     """
     A, b, P = inst.eq_matrix, inst.eq_rhs, inst.polyhedron
     step = 1.0 / max(L, 1e-12)
@@ -164,9 +138,9 @@ def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, L: float,
         x_new = _proj(P, x_new)
         res = L * _norm(x - x_new)
         if res <= tol:
-            return x, res, True
+            return x, res
         x = x_new
-    return x, res, False
+    return x, res
 
 
 def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
@@ -270,7 +244,7 @@ def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
     converged, state_t = False, 0
     for t in range(params.max_iters):
         x_prev = x
-        x, inner_res, _ = _projected_gradient(inst, x, A.T @ y, rho, L_in, tol, 200_000)
+        x, inner_res = _projected_gradient(inst, x, A.T @ y, rho, L_in, tol, 200_000)
         r = A @ x - b
         feas = float(np.linalg.norm(r))
         y = y + rho * r

@@ -25,8 +25,10 @@ from tests.conftest import make_general_instance
 # ----------------------------------------------------------------- fit_rate
 
 def synthetic_trace(eps):
-    n = len(eps)
-    return Trace.from_arrays(t=np.arange(n), eq_res=eps, cert_norm=np.zeros(n))
+    trace = Trace()
+    for t, e in enumerate(eps):
+        trace.append(t, 0.0, e, 0.0, 0.0, 0.0)
+    return trace
 
 
 def test_fit_rate_exact_inverse_sqrt():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from sproxalm.exceptions import InfeasibleError
-from sproxalm.oracles import project_polyhedron_exact
+from sproxalm.oracles import project_polyhedron_exact, solve_qp_active_set
 from sproxalm.problem import Box, Halfspaces
 from sproxalm.projection import StronglyConvexQP, nnls, project
 
@@ -86,6 +86,41 @@ def test_matches_active_set_oracle_small(case):
     projected = project(P, x)
     exact, _ = project_polyhedron_exact(G, h, None, None, x)
     assert np.linalg.norm(projected - exact) < 1e-6
+
+
+def _scaled_rows_case(seed):
+    # rows of G with norms 10^U(-6, 6), some of them active at the solution
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, min(n, 2)))
+    l = int(rng.integers(1, 6))
+    R = rng.standard_normal((n, n))
+    A = rng.standard_normal((m, n))
+    G = rng.standard_normal((l, n))
+    G *= (10.0 ** rng.uniform(-6, 6, l) / np.linalg.norm(G, axis=1))[:, None]
+    x_feas = rng.standard_normal(n)
+    h = G @ x_feas + np.linalg.norm(G, axis=1) * rng.uniform(0.0, 1.0, l)
+    return R @ R.T + 0.1 * np.eye(n), 3.0 * rng.standard_normal(n), A, A @ x_feas, G, h
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(0, 10_000).map(_scaled_rows_case))
+# the projection of (5, 3) onto {1e7 x1 <= 0, x2 <= 1}: a large row beside a unit one
+@example(case=(np.eye(2), -np.array([5.0, 3.0]), np.zeros((0, 2)), np.zeros(0),
+               np.array([[1e7, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0])))
+def test_strongly_convex_qp_is_exact_whatever_its_row_scales(case):
+    H, c, A, b, G, h = case
+    norms = np.linalg.norm(G, axis=1)
+    ref = solve_qp_active_set(H, c, A, b, G / norms[:, None], h / norms).x
+    x, y, mu = StronglyConvexQP(H, A, b, G, h).solve(c)
+    assert np.linalg.norm(x - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+    # KKT conditions with the returned multipliers, each row on its own scale
+    assert np.all(mu >= 0.0)
+    assert np.all((G @ x - h) / norms <= 1e-9 * (1.0 + np.abs(x).max()))
+    scale = (1.0 + np.linalg.norm(H @ x) + np.linalg.norm(c) + np.abs(A.T @ y).sum()
+             + norms @ mu)
+    assert np.linalg.norm(H @ x + c + A.T @ y + G.T @ mu) <= 1e-9 * scale
+    assert np.all(mu * np.abs(G @ x - h) <= 1e-9 * scale * (1.0 + np.abs(x).max()))
 
 
 def test_kkt_residual_contract():
