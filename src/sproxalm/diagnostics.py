@@ -108,7 +108,9 @@ def potential_value(inst: ProblemInstance, state: IterateState, params: SolverPa
 class MonitorContext:
     """Per-run state of the full monitor: the potential of the last
     checked state t+1, and the constants of the descent inequality.  Every
-    subproblem it solves is exact, so no solve depends on an earlier one."""
+    subproblem it solves is exact, so no solve depends on an earlier one.
+    While beta (~1e-37) moves z below the rounding of the linear terms,
+    x(y+, z_t) and P(z_{t+1}) repeat the last solve of their QP, kept by it."""
 
     def __init__(self, inst: ProblemInstance, params: SolverParams):
         self.inst = inst
@@ -359,13 +361,12 @@ def verify_hoffman(C1, b1, C2, b2, theta: float, n_points: int,
             res2 += float(np.sum(np.maximum(C1 @ xbar - b1, 0.0) ** 2))
         if C2.shape[0]:
             res2 += float(np.sum((C2 @ xbar - b2) ** 2))
-        if res2 <= 1e-300:
-            continue
-        ratio = dist ** 2 / res2
-        max_ratio = max(max_ratio, ratio)
-        near = max(near, ratio / theta)
-        if dist ** 2 > theta * res2 * (1.0 + 1e-9) + 1e-15:
+        if dist ** 2 > theta * res2 * (1.0 + 1e-9) + 1e-15:   # every point: one in S is at distance 0
             passed = False
+        if res2 > 0.0:
+            ratio = dist ** 2 / res2
+            max_ratio = max(max_ratio, ratio)
+            near = max(near, ratio / theta)
     return HoffmanCheckReport(points=n_points, max_ratio=max_ratio, bound=theta,
                               passed=passed, near_tightness=near, seed=rng_seed)
 

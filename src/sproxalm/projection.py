@@ -96,6 +96,11 @@ class StronglyConvexQP:
     ``nnls``.  Each solve hot-starts from the passive set of the last one,
     which changes its work but not its result.  Empty feasible sets raise
     InfeasibleError.  H is kept as the attribute ``H``.
+
+    A call with the same bytes of c and b as the last (b=None is its own key)
+    returns copies of that call's (x, y, mu) unsolved.  A new NNLS would
+    hot-start from the passive set P that gave them, P would pass the same
+    KKT test, and both end in one lstsq on P: the bits cannot differ.
     """
 
     def __init__(self, H, A, b, G, h):
@@ -119,6 +124,7 @@ class StronglyConvexQP:
         self._h = np.asarray(h, dtype=float).reshape(-1)
         self._shifted = self._shift(b)
         self._passive = None   # passive set of the last NNLS: the next solve's hot start
+        self._last = None      # (key, (x, y, mu)) of the last solve
 
     def _shift(self, b):
         """(x0, T H x0, (h - G x0) / row norms of E) for the right-hand side
@@ -132,8 +138,15 @@ class StronglyConvexQP:
     def solve(self, c, b=None):
         """Return (x, y, mu) with Hx + c + A'y + G'mu = 0, mu >= 0, for the
         equality right-hand side b (by default the one given at construction)."""
-        x0, t0, f0 = self._shifted if b is None else self._shift(b)
         c = np.asarray(c, dtype=float)
+        key = (c.tobytes(), None if b is None else np.asarray(b, dtype=float).tobytes())
+        if self._last is None or self._last[0] != key:
+            self._last = None   # a call that raises keeps nothing
+            self._last = (key, self._solve(c, b))
+        return tuple(a.copy() for a in self._last[1])
+
+    def _solve(self, c, b):
+        x0, t0, f0 = self._shifted if b is None else self._shift(b)
         t = t0 + self._T @ c
         f = f0 + self._Et.T @ t
         mu = np.zeros(f.shape[0])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from sproxalm.diagnostics import (MonitorContext, certificate_from_step,
                                   trace_segment_decomposition,
                                   verify_dual_error_bound, verify_hoffman)
 from sproxalm import diagnostics
+from sproxalm.cli import main
 from sproxalm.exceptions import ConvergenceError, StepMismatchError
 from sproxalm.oracles import (enumerate_kkt_points, project_polyhedron_exact,
                               solve_qp_active_set)
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
-                              fixed_instance_1d)
+                              fixed_instance_1d, generate_nonconvex_qp)
 from sproxalm.projection import StronglyConvexQP, project
 from sproxalm.solvers import IterateState, sprox_alm_run, sprox_alm_step
 from tests.conftest import make_box_instance, make_general_instance
@@ -404,6 +406,39 @@ def test_instance_owns_one_proximal_factorisation(monkeypatch):
     assert other.inner_qp(params.rho, params.p) is not inner and len(built) == 5
 
 
+def test_monitor_solves_each_repeated_subproblem_once(monkeypatch):
+    # criteria 1-2's seed-1000 box: beta = 9.8e-38 moves z by about 1e-35 from
+    # 0, below the rounding of the linear terms, so every solve sees the same z.
+    # Then x(y+, z_t) repeats x(y+, z_{t+1}) and P(z_{t+1}) repeats P(z_t), and
+    # only the first of each reaches the factorisation.  Once beta moves z
+    # (ROADMAP item 13) this premise fails, and so does the count.
+    inst = generate_nonconvex_qp(n=10, m=3, neg_eigs=3, rng_seed=1000)
+    params, _ = plan_stepsizes(inst, "theoretical", exact_limit=30)
+    run = dataclasses.replace(params, max_iters=300, target_eps=0.0, trace_every=1,
+                              monitor_level="full")
+    calls, solved = [], []
+    solve, real = StronglyConvexQP.solve, StronglyConvexQP._solve
+
+    def counted(self, c, b=None):
+        calls.append((self, np.array(c)))
+        return solve(self, c, b)
+
+    def counted_real(self, c, b):
+        solved.append(1)
+        return real(self, c, b)
+
+    monkeypatch.setattr(StronglyConvexQP, "solve", counted)
+    monkeypatch.setattr(StronglyConvexQP, "_solve", counted_real)
+    res = sprox_alm_run(inst, run)
+    checks = res.monitor["checks"]
+    assert checks == 300 and res.monitor["phi_monotone_violations"] == 0
+    prox = [c for qp, c in calls if qp is inst.prox_qp(params.p)]
+    assert len(prox) == checks + 1
+    assert all(np.array_equal(c, prox[0]) for c in prox)   # the premise
+    assert len(calls) == 3 * checks + 2
+    assert len(solved) == checks + 2
+
+
 # ----------------------------------------------------------- hoffman check
 
 def test_hoffman_check_1d_inequality_equality_case():
@@ -425,6 +460,26 @@ def test_hoffman_check_interior_points_contribute_nothing():
     out = verify_hoffman(np.array([[1.0]]), np.array([100.0]), None, None,
                          theta=1.0, n_points=20, rng_seed=2)
     assert out.passed and out.max_ratio == 0.0
+
+
+def test_hoffman_check_checks_points_in_the_set(tmp_path, capsys, monkeypatch):
+    # S = R^2, and a set that holds every sampled point: each point has zero
+    # residual, so its nearest point must be itself, and is checked
+    system = tmp_path / "sys.json"
+    system.write_text('{"n": 2}')
+    assert main(["verify-hoffman", "--system", str(system), "--points", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["samples"] == 3 and out["pass"] and out["max_ratio"] == 0.0
+    inside = (np.array([[1.0, 0.0]]), np.array([100.0]), None, None)
+    assert verify_hoffman(*inside, theta=1.0, n_points=20, rng_seed=2).passed
+    # a wrong nearest point fails, though the residual is zero
+    solve = StronglyConvexQP.solve
+    monkeypatch.setattr(StronglyConvexQP, "solve",
+                        lambda self, c, b=None: tuple(a + 1.0 for a in solve(self, c, b)))
+    assert main(["verify-hoffman", "--system", str(system), "--points", "3"]) == 1
+    assert not json.loads(capsys.readouterr().out)["pass"]
+    out = verify_hoffman(*inside, theta=1.0, n_points=20, rng_seed=2)
+    assert not out.passed and out.max_ratio == 0.0
 
 
 def test_hoffman_check_infeasible_system_raises():

@@ -231,5 +231,93 @@ def test_strongly_convex_qp_solve_does_not_depend_on_earlier_solves(seed):
         qp.solve(c)
     for i, want in enumerate(cold):
         qp.solve(cs[i - 1])
-        for got, exp in zip(qp.solve(cs[i]), want):
-            assert np.array_equal(got, exp)
+        for _ in range(2):   # the second solve in a row returns the kept answer
+            for got, exp in zip(qp.solve(cs[i]), want):
+                assert np.array_equal(got, exp)
+
+
+def _kept_solve_case():
+    # a QP with equality rows and active inequality rows
+    rng = np.random.default_rng(3)
+    n = 5
+    R = rng.standard_normal((n, n))
+    H, A = R @ R.T + np.eye(n), rng.standard_normal((2, n))
+    G = rng.standard_normal((6, n))
+    x_feas = rng.standard_normal(n)
+    b, h = A @ x_feas, G @ x_feas + rng.uniform(0.1, 1.0, 6)
+    return (H, A, b, G, h), 5.0 * rng.standard_normal(n)
+
+
+def _count_solves(monkeypatch):
+    # solves that reach the factorisation; a kept answer does not
+    solves = []
+    solve = StronglyConvexQP._solve
+
+    def counted(self, c, b):
+        solves.append(c.copy())
+        return solve(self, c, b)
+
+    monkeypatch.setattr(StronglyConvexQP, "_solve", counted)
+    return solves
+
+
+def test_strongly_convex_qp_repeat_is_a_fresh_solve(monkeypatch):
+    data, c = _kept_solve_case()
+    fresh = StronglyConvexQP(*data).solve(c)
+    assert fresh[2].max() > 0.0   # the NNLS ran
+    solves = _count_solves(monkeypatch)
+    qp = StronglyConvexQP(*data)
+    first = qp.solve(c)
+    kept = qp.solve(c.copy())
+    assert len(solves) == 1
+    for got, want in zip(kept, fresh):
+        assert np.array_equal(got, want)
+    # the caller owns what it gets: writing to it leaves the kept answer as it was
+    for arr in (*first, *kept):
+        arr += 1.0
+    again = qp.solve(c)
+    assert len(solves) == 1
+    for got, want in zip(again, fresh):
+        assert np.array_equal(got, want)
+
+
+def test_strongly_convex_qp_repeat_needs_the_same_bytes(monkeypatch):
+    (H, A, b, G, h), c = _kept_solve_case()
+    solves = _count_solves(monkeypatch)
+    qp = StronglyConvexQP(H, A, b, G, h)
+    base = qp.solve(c)
+    near = c.copy()
+    near[0] = np.nextafter(c[0], np.inf)
+    qp.solve(near)
+    assert len(solves) == 2
+    # b=None is its own key: the construction b passed again is a solve, with the same bits
+    for got, want in zip(qp.solve(c), base):
+        assert np.array_equal(got, want)
+    for got, want in zip(qp.solve(c, b), base):
+        assert np.array_equal(got, want)
+    assert len(solves) == 4
+    # another right-hand side, as the segment tracer passes, is another solve
+    b2 = b + A @ np.full(H.shape[0], 1e-3)
+    x2 = qp.solve(c, b2)[0]
+    assert len(solves) == 5 and np.allclose(A @ x2, b2)
+    qp.solve(c, b2)
+    assert len(solves) == 5
+
+
+def test_strongly_convex_qp_keeps_no_failed_solve(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    # {x <= 0, x >= 1} is empty: every call raises
+    empty = StronglyConvexQP(np.eye(1), [], [], [[1.0], [-1.0]], [0.0, -1.0])
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            empty.solve(np.zeros(1))
+    assert len(solves) == 2
+    # an inconsistent b raises, and the last good answer is not kept past it
+    A = np.array([[1.0, 1.0], [2.0, 2.0]])
+    qp = StronglyConvexQP(np.eye(2), A, [1.0, 2.0], [[1.0, 0.0]], [0.25])
+    x = qp.solve(np.zeros(2))[0]
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            qp.solve(np.zeros(2), [1.0, 3.0])
+    assert np.array_equal(qp.solve(np.zeros(2))[0], x)
+    assert len(solves) == 6
