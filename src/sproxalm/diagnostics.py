@@ -47,8 +47,8 @@ def certificate_from_step(inst: ProblemInstance, x_prev, state_next: IterateStat
     x_prev = np.asarray(x_prev, dtype=float)
     z_prev = np.asarray(z_prev, dtype=float)
     r = inst.eq_matrix @ x_prev - inst.eq_rhs
-    x1, _z1, _gx1, r1, v = _smoothed_step(inst, params)(x_prev, state_next.y, z_prev,
-                                                        inst.grad_f(x_prev), r)
+    x1, _gx1, r1, v = _smoothed_step(inst, params.rho, params.p, params.c)(
+        x_prev, state_next.y, z_prev, inst.grad_f(x_prev), r)
     scale = 1.0 + float(np.linalg.norm(state_next.x))
     if float(np.linalg.norm(x1 - state_next.x)) > 1e-8 * scale:
         raise StepMismatchError("state_next is not the projected step from x_prev")
@@ -435,10 +435,17 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     adjacent grid points sharing an active set are checked against the
     per-segment Lipschitz bound with sigma5 = sqrt(2)(theta_bar L^2 + 1)/gamma,
     where theta_bar is exact (``hoffman_constant``, within its subset budget).
-    A point whose shifted feasible set is empty raises InfeasibleError.
+    ``telescoped_sum`` is the sum of (s_{i+1} - s_i) ||r_tilde|| over the
+    grid, which is ||r_tilde|| by construction up to roundoff: a check that
+    it matches ||r_tilde|| (criterion 7's) cannot fail.
+    A point whose shifted feasible set is empty raises InfeasibleError, and
+    a non-finite y_tilde raises ValueError before any solve.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    y_tilde = np.asarray(y_tilde, dtype=float)
+    if not np.isfinite(y_tilde).all():
+        raise ValueError("non-finite y_tilde: the residual segment needs a finite multiplier")
     H, q = g_inst.objective.Q, g_inst.objective.q
     ev = np.linalg.eigvalsh(H)
     if ev[0] <= 0:
@@ -446,7 +453,6 @@ def trace_segment_decomposition(g_inst: ProblemInstance, y_tilde,
     gamma, L = float(ev[0]), float(ev[-1])
     A, b = g_inst.eq_matrix, g_inst.eq_rhs
     G, h = g_inst.polyhedron.as_halfspaces()
-    y_tilde = np.asarray(y_tilde, dtype=float)
 
     theta_bar, _exact = hoffman_constant(A, G)
     sigma5 = sigma5_from_theta(theta_bar, L, gamma)

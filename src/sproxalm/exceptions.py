@@ -22,8 +22,8 @@ class DivergenceError(RuntimeError):
     """Iterates blew past the divergence guard (norm > 1e12).
 
     The last iterate before the blow-up is attached as ``state``: an
-    ``IterateState`` from an outer loop, the last point in P from the
-    inner projected-gradient loop.
+    ``IterateState`` from an outer loop, the last point in P from the ALM
+    baseline's inner loop, which iterates the one step kernel with p = 0.
     """
 
     def __init__(self, message, state=None):

@@ -1,7 +1,7 @@
-"""Iterative methods: the smoothed proximal augmented Lagrangian loop and
-its one step kernel, the classical augmented Lagrangian baseline and its
-projected-gradient inner loop, and the exact solves of the inner
-minimisation of K and of the constrained proximal subproblem.
+"""Iterative methods: the smoothed proximal augmented Lagrangian loop, the
+classical augmented Lagrangian baseline, whose inner loop iterates the
+same projected-gradient step kernel with p = 0, and the exact solves of
+the inner minimisation of K and of the constrained proximal subproblem.
 
 Notation used throughout: the augmented Lagrangian is
 
@@ -30,6 +30,7 @@ from .problem import Box, ProblemInstance
 from .projection import project
 
 _GUARD = 1e12
+_INNER_STEPS = 200_000   # the step cap of alm_run's inner loop
 # the counters of the full monitor, in SproxResult.monitor and run summaries
 MONITOR_COUNTERS = ("phi_monotone_violations", "lemma34_violations",
                     "step_error_bound_violations", "checks")
@@ -112,37 +113,6 @@ def _proj(P, x):
     return project(P, x)
 
 
-def _projected_gradient(inst: ProblemInstance, x, lin, rho: float, L: float,
-                        tol: float, max_iters: int):
-    """Projected gradient with step 1/L on
-
-        f(x) + lin'x + (rho/2)||Ax - b||^2   over P,
-
-    from x in P: the inner loop of ``alm_run``, its heuristic (not strongly
-    convex) case included.  Returns (x, residual): the first x at which the
-    scaled fixed-point residual L ||x - proj(x - grad/L)|| falls to tol,
-    with that residual, or else the iterate after max_iters steps with the
-    last residual computed.  A gradient step to a point of norm beyond
-    1e12, or to a non-finite one, raises DivergenceError carrying the last
-    iterate in P as ``state``: the objective is then unbounded below on P.
-    """
-    A, b, P = inst.eq_matrix, inst.eq_rhs, inst.polyhedron
-    step = 1.0 / max(L, 1e-12)
-    res = np.inf
-    for _ in range(max_iters):
-        g = inst.grad_f(x) + lin + rho * (A.T @ (A @ x - b))
-        x_new = x - step * g
-        if not float(x_new @ x_new) <= _GUARD ** 2:
-            raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
-                                  f"{_GUARD:g})", state=x)
-        x_new = _proj(P, x_new)
-        res = L * _norm(x - x_new)
-        if res <= tol:
-            return x, res
-        x = x_new
-    return x, res
-
-
 def inner_minimize_K(inst: ProblemInstance, y, z, params: SolverParams,
                      tol: float = 1e-10):
     """x(y, z) = argmin_{x in P} K(x, z; y): one exact solve of the strongly
@@ -218,11 +188,17 @@ def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
     Starts from x = the projection of the origin onto P and y = 0.  Each
     of at most max_iters outer steps minimizes L_rho(.; y) over P, then
     updates y <- y + rho (Ax - b); the run stops once the residual and the
-    inner fixed-point residual reach max(target_eps, 1e-10).  When the
-    inner problem is not strongly convex the inner solve is a projected-gradient run to a stationary point and
-    the result is flagged heuristic.  Multiplier or iterate norms beyond
-    1e12, of the outer or the inner iteration, raise DivergenceError (the
-    nonconvex baseline may diverge).
+    inner fixed-point residual reach max(target_eps, 1e-10).  The inner
+    loop iterates the smoothed method's step kernel with p = 0 and step
+    1/L_in, L_in = lambda_max(Q + rho A'A), for at most _INNER_STEPS steps:
+    it ends at the first x whose residual L_in ||x - x+|| reaches the
+    tolerance, or else at the last x whose residual it computed.  When the
+    inner problem is not strongly convex the result is flagged heuristic.
+    A projected inner step to a point of norm beyond 1e12, or to a
+    non-finite one, raises DivergenceError carrying the last inner iterate
+    (a point of P); multiplier or iterate norms beyond 1e12 after an outer
+    step raise it carrying the IterateState (the nonconvex baseline may
+    diverge).
 
     Trace note: the cert_norm column holds the inner fixed-point residual,
     which bounds the certificate available at (x, y + rho(Ax-b)) after the
@@ -232,20 +208,28 @@ def alm_run(inst: ProblemInstance, params: SolverParams) -> AlmResult:
     A, b = inst.eq_matrix, inst.eq_rhs
     rho = params.rho
     # the inner curvature: strong convexity and the step of the inner loop
-    H = inst.objective.Q + rho * (A.T @ A)
-    eig = np.linalg.eigvalsh(0.5 * (H + H.T))
+    eig = np.linalg.eigvalsh(inst.objective.Q + rho * (A.T @ A))
     heuristic = not eig[0] > 1e-12
     L_in = float(eig[-1])
+    step = _smoothed_step(inst, rho, 0.0, 1.0 / max(L_in, 1e-12))
 
     y = np.zeros(inst.m)
     x = _proj(inst.polyhedron, np.zeros(inst.n))
+    gx, r = inst.grad_f(x), A @ x - b
     trace = Trace()
     b_scale = 1.0 + float(np.linalg.norm(b))
     converged, state_t = False, 0
     for t in range(params.max_iters):
         x_prev = x
-        x, inner_res = _projected_gradient(inst, x, A.T @ y, rho, L_in, tol, 200_000)
-        r = A @ x - b
+        for k in range(1, _INNER_STEPS + 1):
+            x1, gx1, r1, _v = step(x, y, x, gx, r)
+            if not _norm(x1) <= _GUARD:
+                raise DivergenceError("inner projected gradient diverged (iterate norm beyond "
+                                      f"{_GUARD:g})", state=x)
+            inner_res = L_in * _norm(x - x1)
+            if inner_res <= tol or k == _INNER_STEPS:
+                break   # at x, the point of inner_res
+            x, gx, r = x1, gx1, r1
         feas = float(np.linalg.norm(r))
         y = y + rho * r
         if float(np.linalg.norm(y)) > _GUARD or float(np.linalg.norm(x)) > _GUARD:
@@ -267,14 +251,15 @@ def K_value(inst: ProblemInstance, x, z, y, params: SolverParams) -> float:
             + 0.5 * params.p * float(np.dot(x - z, x - z)))
 
 
-def _smoothed_step(inst: ProblemInstance, params: SolverParams):
-    """The primal half of one outer iteration and its certificate, as a
-    function step(x, y1, z, gx, r) built once per run.
+def _smoothed_step(inst: ProblemInstance, rho: float, p: float, c: float):
+    """One projected-gradient step of size c on K(., z; y) and its
+    certificate, as a function step(x, y1, z, gx, r) built once per run:
+    the primal step of the smoothed method, and with p = 0 (K = L_rho) one
+    step of the ALM baseline's inner loop.
 
-    Given x, the updated multiplier y1, the anchor z, gx = grad f(x) and
-    r = Ax - b, step takes the projected gradient step x1 = proj(x - c g)
-    with g = grad_x K(x, z; y1) and the averaging step z1 = z + beta (x1 - z).
-    It returns (x1, z1, grad f(x1), Ax1 - b, v), where
+    Given x, the multiplier y1, the anchor z, gx = grad f(x) and
+    r = Ax - b, step takes x1 = proj(x - c g) with g = grad_x K(x, z; y1).
+    It returns (x1, grad f(x1), Ax1 - b, v), where
 
         v = grad f(x1) + A'y1 - g - (x1 - x)/c
 
@@ -283,7 +268,6 @@ def _smoothed_step(inst: ProblemInstance, params: SolverParams):
     """
     A, b, At = inst.eq_matrix, inst.eq_rhs, inst.eq_matrix.T
     grad_f, P = inst.objective.grad, inst.polyhedron
-    rho, p, c, beta = params.rho, params.p, params.c, params.beta
 
     def step(x, y1, z, gx, r):
         Aty = At @ y1
@@ -291,10 +275,9 @@ def _smoothed_step(inst: ProblemInstance, params: SolverParams):
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient in the primal step")
         x1 = _proj(P, x - c * g)
-        z1 = z + beta * (x1 - z)
         gx1 = grad_f(x1)
         v = gx1 + Aty - g - (x1 - x) / c
-        return x1, z1, gx1, A @ x1 - b, v
+        return x1, gx1, A @ x1 - b, v
 
     return step
 
@@ -308,8 +291,8 @@ def sprox_alm_step(inst: ProblemInstance, state: IterateState,
         raise ValueError("state dimensions do not match the instance")
     r = inst.eq_matrix @ x - inst.eq_rhs
     y1 = y + params.alpha * r
-    x1, z1, *_ = _smoothed_step(inst, params)(x, y1, z, inst.grad_f(x), r)
-    return IterateState(x=x1, y=y1, z=z1, t=state.t + 1)
+    x1, *_ = _smoothed_step(inst, params.rho, params.p, params.c)(x, y1, z, inst.grad_f(x), r)
+    return IterateState(x=x1, y=y1, z=z + params.beta * (x1 - z), t=state.t + 1)
 
 
 @dataclass
@@ -357,10 +340,10 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> Sprox
         mon_ctx = MonitorContext(inst, params)
 
     trace = Trace()
-    step = _smoothed_step(inst, params)
+    step = _smoothed_step(inst, params.rho, params.p, params.c)
     f = inst.objective.value
-    alpha, max_iters, target_eps = params.alpha, params.max_iters, params.target_eps
-    trace_every = params.trace_every
+    alpha, beta, max_iters = params.alpha, params.beta, params.max_iters
+    target_eps, trace_every = params.target_eps, params.trace_every
     # the best (t, x1, y1, cert, eq1) so far: x1 and y1 are fresh arrays each
     # step, so references to them are as good as copies
     best, best_eps = None, np.inf
@@ -370,9 +353,10 @@ def sprox_alm_run(inst: ProblemInstance, params: SolverParams, x0=None) -> Sprox
     for t in range(max_iters):
         y1 = y + alpha * r
         try:
-            x1, z1, gx1, r1, v = step(x, y1, z, gx, r)
+            x1, gx1, r1, v = step(x, y1, z, gx, r)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} at iteration {t}") from exc
+        z1 = z + beta * (x1 - z)
         dx = x1 - x
         cert = _norm(v)
         eq1 = _norm(r1)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,20 @@ def test_cli_trace_segment(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["pass"] is True
     assert out["telescoped_sum"] == pytest.approx(out["residual_norm"], abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_cli_trace_segment_non_finite_y_scale_exits_2(tmp_path, capsys, scale):
+    problem = tmp_path / "qp.json"
+    main(["gen-qp", "--n", "3", "--m", "1", "--neg-eigs", "1",
+          "--seed", "9", "--out", str(problem)])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["trace-segment", "--problem", str(problem), "--y-scale", scale])
+    assert rc == 2
+    assert "non-finite y_tilde" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_entrypoint_module():

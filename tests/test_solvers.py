@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -9,7 +9,8 @@ from sproxalm.exceptions import ConvergenceError, DivergenceError
 from sproxalm.oracles import solve_constrained_qp_oracle
 from sproxalm.problem import (Box, ProblemInstance, QuadraticObjective,
                               fixed_instance_1d, generate_nonconvex_qp)
-from sproxalm.projection import StronglyConvexQP
+from sproxalm import solvers
+from sproxalm.projection import StronglyConvexQP, project
 from sproxalm.solvers import (IterateState, ProxSolution, Trace, _norm, alm_run,
                               inner_minimize_K, solve_constrained_strongly_convex,
                               sprox_alm_run, sprox_alm_step)
@@ -177,6 +178,107 @@ def test_inner_divergence_carries_last_iterate_in_P():
     # in P up to the rounding of a point of norm near 1e12
     G, h = inst.polyhedron.as_halfspaces()
     assert np.max(G @ x - h) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_alm_capped_inner_loop_reports_the_residual_of_its_point(monkeypatch):
+    # curvature 1e-6 along x2: each inner step moves x2 by 1/L_in and leaves
+    # the residual near 1, so every inner loop ends at the cap
+    monkeypatch.setattr(solvers, "_INNER_STEPS", 50)
+    Q, q = np.diag([1.0, 1e-6]), np.array([0.0, -1.0])
+    A, b = np.array([[1.0, 0.0]]), np.array([0.5])
+    inst = ProblemInstance(objective=QuadraticObjective(Q, q), lipschitz_grad=1.0,
+                           eq_matrix=A, eq_rhs=b,
+                           polyhedron=Box(np.full(2, -1e7), np.full(2, 1e7)))
+    L_in = float(np.linalg.eigvalsh(Q + A.T @ A)[-1])
+    y = np.zeros(1)   # the multiplier of the last outer step of each run
+    for iters in (1, 2, 3):
+        params = SolverParams(rho=1.0, p=3.0, c=0.1, alpha=0.1, beta=0.5,
+                              max_iters=iters, target_eps=1e-9)
+        out = alm_run(inst, params)
+        x = out.state.x
+        g = Q @ x + q + A.T @ y + A.T @ (A @ x - b)
+        res = L_in * np.linalg.norm(x - np.clip(x - g / L_in, -1e7, 1e7))
+        assert 0.5 < res and out.trace.column("cert_norm")[-1] == pytest.approx(res, rel=1e-12)
+        y = out.state.y
+
+
+def _reference_alm(inst, params, cap):
+    """The ALM baseline in plain numpy: steps of 1/L_in along the gradient
+    of f + y'(Ax - b) + (rho/2)||Ax - b||^2, projected onto P, until the
+    residual L_in ||x - x+|| reaches the tolerance or cap steps are taken.
+    Returns (trace rows, x, y, iterations, converged, heuristic)."""
+    Q, q, A, b, P = (inst.objective.Q, inst.objective.q, inst.eq_matrix, inst.eq_rhs,
+                     inst.polyhedron)
+    rho, tol = params.rho, max(params.target_eps, 1e-10)
+    ev = np.linalg.eigvalsh(Q + rho * (A.T @ A))
+    L_in = float(ev[-1])
+    step = 1.0 / max(L_in, 1e-12)
+    proj = P.clip if isinstance(P, Box) else (lambda v: project(P, v))
+    x, y, rows, converged = proj(np.zeros(inst.n)), np.zeros(inst.m), [], False
+    for t in range(params.max_iters):
+        x_prev = x
+        for k in range(cap):
+            x1 = proj(x - step * (Q @ x + q + A.T @ y + rho * (A.T @ (A @ x - b))))
+            if not np.linalg.norm(x1) <= 1e12:
+                raise DivergenceError("inner projected gradient diverged (iterate norm "
+                                      "beyond 1e+12)", state=x)
+            res = L_in * np.linalg.norm(x - x1)
+            if res <= tol or k == cap - 1:
+                break
+            x = x1
+        r = A @ x - b
+        feas = np.linalg.norm(r)
+        y = y + rho * r
+        if np.linalg.norm(y) > 1e12 or np.linalg.norm(x) > 1e12:
+            raise DivergenceError("ALM divergence (multiplier or iterate blow-up)",
+                                  state=IterateState(x, y, x, t))
+        f = 0.5 * float(x @ (Q @ x)) + float(q @ x) + inst.objective.offset
+        rows.append((t, f, feas, res, np.linalg.norm(x - x_prev), 0.0))
+        if feas <= tol * (1.0 + np.linalg.norm(b)) and res <= tol:
+            converged = True
+            break
+    return rows, x, y, len(rows), converged, not ev[0] > 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@example(kind="box", n=4, m=1, l=2, neg_eigs=0, seed=3, iters=15)
+@example(kind="box", n=5, m=2, l=2, neg_eigs=2, seed=4, iters=15)
+@example(kind="halfspace", n=4, m=2, l=3, neg_eigs=0, seed=5, iters=15)
+@example(kind="halfspace", n=5, m=1, l=4, neg_eigs=2, seed=6, iters=15)
+@example(kind="halfspace", n=6, m=2, l=4, neg_eigs=2, seed=63, iters=15)   # diverges
+@given(kind=st.sampled_from(["box", "halfspace"]), n=st.integers(3, 6), m=st.integers(1, 2),
+       l=st.integers(2, 4), neg_eigs=st.integers(0, 2), seed=st.integers(0, 10_000),
+       iters=st.integers(1, 15))
+def test_alm_matches_a_plain_numpy_reference(kind, n, m, l, neg_eigs, seed, iters):
+    if kind == "box":
+        inst = make_box_instance(n, m, neg_eigs, seed)
+    else:
+        inst = make_general_instance(n, m, l, neg_eigs, seed)
+    params, _ = plan_stepsizes(inst, "practical")
+    params.max_iters, params.target_eps = iters, 1e-9
+
+    def outcome(run):
+        try:
+            return run()
+        except DivergenceError as exc:
+            s = exc.state
+            return DivergenceError, str(exc), (s,) if isinstance(s, np.ndarray) else (
+                s.x, s.y, s.z, s.t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_INNER_STEPS", 300)
+        out = outcome(lambda: alm_run(inst, params))
+        ref = outcome(lambda: _reference_alm(inst, params, 300))
+    if ref[0] is DivergenceError:
+        assert out[:2] == ref[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(out[2], ref[2], strict=True))
+        return
+    rows, x, y, t, converged, heuristic = ref
+    table = np.array(rows).reshape(-1, len(Trace.COLUMNS) - 2)
+    for j, name in enumerate(Trace.COLUMNS[:-2]):
+        assert np.array_equal(out.trace.column(name), table[:, j]), name
+    assert np.array_equal(out.state.x, x) and np.array_equal(out.state.y, y)
+    assert (out.state.t, out.converged, out.heuristic) == (t, converged, heuristic)
 
 
 # -------------------------------------------------------------- sprox step
